@@ -5,35 +5,21 @@ flags taking precedence. Results land in a CSV (written to a temp file and
 renamed, so a failed run never leaves a partial file) and a summary table on
 standard output.
 """
-from __future__ import annotations
-
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from .core import InvalidConfig, derive_params
 from .detector import ThresholdKind
-from .sim import BerRecord, ChannelMode, sweep
+from .sim import BerRecord, ChannelMode, params_at_snr, sweep
 
 CSV_HEADER = "snr_db,w,threshold_kind,channel_mode,trials,empirical_ber,stderr,analytic_ber"
-
-DEFAULTS: dict[str, object] = {
-    "cp_len": 256,
-    "eff_len": 1024,
-    "direct_order": 8,
-    "tag_order": 8,
-    "reflect_order": 8,
-    "tag_gain": 0.5 + 0.0j,
-    "noise_power": 1.0,
-    "trials": 100_000,
-    "seed": 1,
-}
-DEFAULT_SNR_DB = 20.0
-DEFAULT_W = 8
 
 _KIND_CHOICES = {"optimal": [ThresholdKind.OPTIMAL],
                  "equiprobable": [ThresholdKind.EQUIPROBABLE],
@@ -48,6 +34,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A resolved run; its defaults are the built-in configuration.
+
+    The ``int``, ``float`` and ``complex`` fields are the physical keys: each
+    is a config-file key of the same name and a field of :func:`derive_params`.
+    """
+
     cp_len: int = 256
     eff_len: int = 1024
     direct_order: int = 8
@@ -57,42 +49,57 @@ class RunConfig:
     noise_power: float = 1.0
     trials: int = 100_000
     seed: int = 1
-    snr_values: list[float] = field(default_factory=lambda: [DEFAULT_SNR_DB])
-    w_values: list[int] = field(default_factory=lambda: [DEFAULT_W])
+    snr_values: list[float] = field(default_factory=lambda: [20.0])
+    w_values: list[int] = field(default_factory=lambda: [8])
     kinds: list[ThresholdKind] = field(default_factory=lambda: [ThresholdKind.OPTIMAL])
     mode: ChannelMode = ChannelMode.FIXED_REALIZATION
     out_path: str = "ber.csv"
 
 
+_PHYSICAL = {f.name: f.type for f in fields(RunConfig) if f.type in (int, float, complex)}
+
+
 def _parse_snr_axis(text: str) -> list[float]:
     """'start:stop:step' (stop inclusive) or a single value."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"snr: expected START:STOP:STEP, got {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"snr: non-numeric component in {text!r}") from None
-        if step <= 0 or stop < start:
-            raise ConfigError(f"snr: need step > 0 and stop >= start in {text!r}")
-        count = int(round((stop - start) / step)) + 1
-        values = [start + i * step for i in range(count)]
-        return [v for v in values if v <= stop + 1e-9]
-    try:
+    if ":" not in text:
         return [float(text)]
-    except ValueError:
-        raise ConfigError(f"snr: non-numeric value {text!r}") from None
+    parts = [float(p) for p in text.split(":")]
+    if len(parts) != 3:
+        raise ValueError("expected START:STOP:STEP")
+    start, stop, step = parts
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("components must be finite")
+    if step <= 0 or stop < start:
+        raise ValueError("need step > 0 and stop >= start")
+    count = int(round((stop - start) / step)) + 1
+    values = [start + i * step for i in range(count)]
+    return [v for v in values if v <= stop + 1e-9]
 
 
 def _parse_w_list(text: str) -> list[int]:
-    try:
-        values = [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"w: non-integer value in {text!r}") from None
+    values = [int(p) for p in text.split(",") if p.strip() != ""]
     if not values:
-        raise ConfigError(f"w: empty list {text!r}")
+        raise ValueError("empty list")
     return values
+
+
+def _choice(table: dict[str, object]) -> Callable[[str], object]:
+    def parse(text: str) -> object:
+        if text not in table:
+            raise ValueError(f"expected one of {sorted(table)}")
+        return table[text]
+    return parse
+
+
+# Config key -> (RunConfig attribute, parser of the key's text value).
+_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    **{name: (name, kind) for name, kind in _PHYSICAL.items()},
+    "snr": ("snr_values", _parse_snr_axis),
+    "w": ("w_values", _parse_w_list),
+    "threshold": ("kinds", _choice(_KIND_CHOICES)),
+    "channel_mode": ("mode", _choice(_MODE_CHOICES)),
+    "out": ("out_path", str),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -121,8 +128,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--w", metavar="LIST", help="comma list of averaging-window sizes")
     ap.add_argument("--threshold", choices=sorted(_KIND_CHOICES), help="threshold kind(s)")
     ap.add_argument("--channel-mode", choices=sorted(_MODE_CHOICES), help="fixed realization or redraw per trial")
-    ap.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trials per point")
-    ap.add_argument("--seed", type=int, metavar="N", help="RNG seed (fallback: BACKSCATTER_SEED)")
+    ap.add_argument("--trials", metavar="N", help="Monte Carlo trials per point")
+    ap.add_argument("--seed", metavar="N", help="RNG seed (fallback: BACKSCATTER_SEED)")
     ap.add_argument("--out", metavar="PATH", help="output CSV path")
     return ap
 
@@ -134,80 +141,46 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     only), config file, flags. The resulting parameter set is validated for
     every requested (window, SNR) combination before anything runs.
     """
-    args = _build_argparser().parse_args(argv)
+    args = vars(_build_argparser().parse_args(argv))
     cfg = RunConfig()
-
     env_seed = os.environ.get("BACKSCATTER_SEED")
     if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"seed: BACKSCATTER_SEED must be an integer, got {env_seed!r}") from None
-
-    if args.config:
-        _apply_entries(cfg, _read_config_file(args.config))
-
-    flags: dict[str, str] = {}
-    for key in ("snr", "w", "threshold", "trials", "seed", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            flags[key] = str(value)
-    if args.channel_mode is not None:
-        flags["channel_mode"] = args.channel_mode
-    _apply_entries(cfg, flags)
-
+        _apply_entries(cfg, {"seed": env_seed})
+    if config_path := args.pop("config"):
+        _apply_entries(cfg, _read_config_file(config_path))
+    _apply_entries(cfg, {key: value for key, value in args.items() if value is not None})
     _validate(cfg)
     return cfg
 
 
 def _apply_entries(cfg: RunConfig, entries: dict[str, str]) -> None:
-    int_keys = {"cp_len", "eff_len", "direct_order", "tag_order", "reflect_order",
-                "trials", "seed"}
     for key, value in entries.items():
-        if key in int_keys:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-        elif key == "noise_power":
-            try:
-                cfg.noise_power = float(value)
-            except ValueError:
-                raise ConfigError(f"noise_power: expected a number, got {value!r}") from None
-        elif key == "tag_gain":
-            try:
-                cfg.tag_gain = complex(value)
-            except ValueError:
-                raise ConfigError(f"tag_gain: expected a complex number, got {value!r}") from None
-        elif key == "snr":
-            cfg.snr_values = _parse_snr_axis(value)
-        elif key == "w":
-            cfg.w_values = _parse_w_list(value)
-        elif key == "threshold":
-            if value not in _KIND_CHOICES:
-                raise ConfigError(f"threshold: expected one of {sorted(_KIND_CHOICES)}, got {value!r}")
-            cfg.kinds = _KIND_CHOICES[value]
-        elif key == "channel_mode":
-            if value not in _MODE_CHOICES:
-                raise ConfigError(f"channel_mode: expected one of {sorted(_MODE_CHOICES)}, got {value!r}")
-            cfg.mode = _MODE_CHOICES[value]
-        elif key == "out":
-            cfg.out_path = value
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key: {key}")
+        attr, parse = _KEYS[key]
+        try:
+            setattr(cfg, attr, parse(value))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot use {value!r} ({exc})") from None
+
+
+def _param_map(cfg: RunConfig, window: int) -> dict[str, object]:
+    """The :func:`derive_params` map of ``cfg`` at unit source power."""
+    return {**{name: getattr(cfg, name) for name in _PHYSICAL},
+            "source_power": 1.0, "window": window}
 
 
 def _validate(cfg: RunConfig) -> None:
-    base = {"cp_len": cfg.cp_len, "eff_len": cfg.eff_len,
-            "direct_order": cfg.direct_order, "tag_order": cfg.tag_order,
-            "reflect_order": cfg.reflect_order, "tag_gain": cfg.tag_gain,
-            "noise_power": cfg.noise_power, "trials": cfg.trials, "seed": cfg.seed,
-            "source_power": 1.0}
     for w in cfg.w_values:
         try:
-            derive_params({**base, "window": w})
+            params = derive_params(_param_map(cfg, w))
         except InvalidConfig as exc:
             raise ConfigError(f"W={w}: {exc}") from None
+        for snr in cfg.snr_values:
+            try:
+                params_at_snr(params, snr)
+            except InvalidConfig as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def _format_value(value: float | None) -> str:
@@ -243,12 +216,7 @@ def _write_atomic(path: str, text: str) -> None:
 def run(cfg: RunConfig) -> int:
     """Execute the configured sweep; returns the process exit code."""
     try:
-        params = derive_params({
-            "cp_len": cfg.cp_len, "eff_len": cfg.eff_len,
-            "direct_order": cfg.direct_order, "tag_order": cfg.tag_order,
-            "reflect_order": cfg.reflect_order, "tag_gain": cfg.tag_gain,
-            "noise_power": cfg.noise_power, "trials": cfg.trials, "seed": cfg.seed,
-            "source_power": 1.0, "window": cfg.w_values[0]})
+        params = derive_params(_param_map(cfg, cfg.w_values[0]))
         records = sweep(params, cfg.snr_values, cfg.w_values, cfg.kinds, cfg.mode,
                         np.random.SeedSequence(cfg.seed))
         _write_atomic(cfg.out_path, "\n".join(_csv_lines(records)) + "\n")

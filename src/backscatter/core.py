@@ -7,6 +7,8 @@ body samples.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping
@@ -146,10 +148,11 @@ def derive_params(raw: Mapping[str, object]) -> SystemParams:
             f"reflect_order {p.reflect_order} exceeds block_len {p.block_len}; fold is undefined")
     if not 1 <= p.window <= p.block_len:
         raise InvalidConfig(f"window must satisfy 1 <= window <= block_len={p.block_len}, got {p.window}")
-    if not p.source_power > 0:
-        raise InvalidConfig(f"source_power must be > 0, got {p.source_power}")
-    if not p.noise_power > 0:
-        raise InvalidConfig(f"noise_power must be > 0, got {p.noise_power}")
+    for name in ("source_power", "noise_power"):
+        if not 0 < getattr(p, name) < math.inf:
+            raise InvalidConfig(f"{name} must be finite and > 0, got {getattr(p, name)}")
+    if not cmath.isfinite(p.tag_gain):
+        raise InvalidConfig(f"tag_gain must be finite, got {p.tag_gain}")
     if p.trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {p.trials}")
     if p.seed < 0:

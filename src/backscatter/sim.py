@@ -12,12 +12,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .core import (ChannelSet, InvalidConfig, SystemParams, draw_channels, generator,
-                   substream)
+from .core import (ChannelSet, InvalidConfig, SystemParams, derive_params, draw_channels,
+                   generator, params_to_map, substream)
 from .detector import ThresholdKind, analytic_ber, compute_scales, detect, threshold_for
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
@@ -59,9 +60,18 @@ def params_at_snr(params: SystemParams, snr_db: float) -> SystemParams:
     """Copy of ``params`` with the source power set to the requested SNR.
 
     SNR is defined against the per-sample noise power:
-    ``snr_db = 10 log10(source_power / noise_power)``.
+    ``snr_db = 10 log10(source_power / noise_power)``. Raises
+    :class:`InvalidConfig` naming ``snr_db`` when the source power it gives is
+    not a finite positive number.
     """
-    return replace(params, source_power=params.noise_power * 10.0 ** (snr_db / 10.0))
+    try:
+        power = params.noise_power * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise InvalidConfig(f"snr_db={snr_db} gives source_power={power}; "
+                            "need a finite positive power")
+    return replace(params, source_power=power)
 
 
 def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: float,
@@ -125,24 +135,18 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
         analytic = analytic_ber(threshold, scales, p.window)
 
     n = p.trials
+    count = partial(_count_errors, p, mode, kind, channels, threshold, stream)
     if workers <= 1 or n < 2 * workers:
-        errors = _count_errors(p, mode, kind, channels, threshold, stream, 0, n)
+        errors = count(0, n)
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
+        bounds = np.linspace(0, n, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_count_errors_star,
-                             [(p, mode, kind, channels, threshold, stream, int(a), int(b))
-                              for a, b in zip(bounds[:-1], bounds[1:])])
-        errors = sum(parts)
+            errors = sum(pool.map(count, bounds[:-1], bounds[1:]))
 
     ber = errors / n
     return BerRecord(snr_db=snr_db, window=p.window, threshold_kind=kind,
                      channel_mode=mode, trials=n, empirical_ber=ber,
                      stderr=math.sqrt(ber * (1.0 - ber) / n), analytic_ber=analytic)
-
-
-def _count_errors_star(args) -> int:
-    return _count_errors(*args)
 
 
 def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
@@ -155,13 +159,7 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
     """
     if not snr_values or not w_values or not kinds:
         raise ValueError("sweep needs non-empty snr_values, w_values and kinds")
-    for w in w_values:
-        if not 1 <= w <= params.block_len:
-            raise InvalidConfig(f"window must satisfy 1 <= window <= block_len="
-                                f"{params.block_len}, got {w}")
-    records = []
-    for idx, ((w, snr), kind) in enumerate(product(product(w_values, snr_values), kinds)):
-        p = replace(params, window=w)
-        records.append(estimate_ber(p, kind, mode, snr, substream(stream, idx),
-                                    workers=workers))
-    return records
+    base = params_to_map(params)
+    windowed = [derive_params({**base, "window": w}) for w in w_values]
+    return [estimate_ber(p, kind, mode, snr, substream(stream, idx), workers=workers)
+            for idx, ((p, snr), kind) in enumerate(product(product(windowed, snr_values), kinds))]

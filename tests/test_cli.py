@@ -80,6 +80,32 @@ def test_missing_config_file_exits_2(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,config_line,name", [
+    (["--trials", "x"], None, "trials"),            # malformed scalars
+    (["--seed", "1.5"], None, "seed"),
+    ([], "tag_gain = abc", "tag_gain"),
+    ([], "noise_power = foo", "noise_power"),
+    ([], "noise_power = inf", "noise_power"),       # non-finite or overflowing
+    ([], "noise_power = 1e400", "noise_power"),
+    ([], "tag_gain = nan", "tag_gain"),
+    ([], "tag_gain = 0.5+1e999j", "tag_gain"),
+    (["--snr", "nan"], None, "snr"),
+    (["--snr", "4000"], None, "snr"),
+    (["--snr", "-4000"], None, "snr"),
+    (["--snr", "0:inf:1"], None, "snr"),
+])
+def test_bad_value_exits_2_naming_field(tmp_path, capsys, flags, config_line, name):
+    out = tmp_path / "x.csv"
+    argv = flags + ["--out", str(out)]
+    if config_line is not None:
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text(config_line + "\n")
+        argv += ["--config", str(cfile)]
+    assert run_cli(argv) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- running
 
 def small_cfg(tmp_path, **overrides):

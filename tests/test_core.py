@@ -1,9 +1,13 @@
 """Parameter derivation, validation and channel-draw statistics."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backscatter import (ChannelSet, InvalidConfig, derive_params, draw_channels,
-                         generator, params_to_map, substream)
+                         generator, params_at_snr, params_to_map, substream)
 
 
 def base_config(**overrides):
@@ -78,6 +82,32 @@ def test_inconsistent_max_order_rejected():
     m["max_order"] = 5
     with pytest.raises(InvalidConfig, match="max_order"):
         derive_params(m)
+
+
+# Non-finite numbers, and decimal texts (as a config file holds them) whose
+# magnitude overflows a double.
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_OVERFLOWING = st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
+                         st.integers(1, 9), st.integers(309, 10_000))
+
+
+@settings(deadline=None)
+@given(field=st.sampled_from(["source_power", "noise_power", "tag_gain"]),
+       value=st.one_of(_NON_FINITE, _OVERFLOWING), imaginary=st.booleans())
+def test_non_finite_or_overflowing_values_never_yield_params(field, value, imaginary):
+    if field == "tag_gain" and imaginary:
+        value = complex(0.5, float(value))
+    with pytest.raises(InvalidConfig, match=field):
+        derive_params(base_config(**{field: value}))
+
+
+@settings(deadline=None)
+@given(snr_db=st.one_of(_NON_FINITE, st.floats(6500, 1e308), st.floats(-1e308, -6500)),
+       noise_power=st.floats(1e-300, 1e300))
+def test_non_finite_or_overflowing_snr_never_yields_params(snr_db, noise_power):
+    p = derive_params(base_config(noise_power=noise_power))
+    with pytest.raises(InvalidConfig, match="snr_db"):
+        params_at_snr(p, snr_db)
 
 
 def test_length_relation_over_random_valid_configs():

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from backscatter import (ChannelMode, FrameOrigin, SymbolFrame, ThresholdKind,
-                         cancel_interference, compute_scales, derive_params, dft,
+from backscatter import (ChannelMode, FrameOrigin, InvalidConfig, SymbolFrame,
+                         ThresholdKind, cancel_interference, compute_scales, derive_params, dft,
                          draw_channels, estimate_ber, fold, generator, params_at_snr,
                          run_trial, substream, sweep, tag_gate, tag_input,
                          synth_reader_rx)
@@ -251,6 +251,25 @@ def test_sweep_rejects_empty_axes():
               np.random.SeedSequence(1))
 
 
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_sweep_records_are_worker_invariant(mode):
+    p = small_params(trials=40)
+    args = (p, [6.0, 12.0], [2, 4], [ThresholdKind.OPTIMAL], mode)
+    serial = sweep(*args, np.random.SeedSequence(19))
+    forked = sweep(*args, np.random.SeedSequence(19), workers=2)
+    assert serial == forked
+    assert [(r.window, r.snr_db) for r in serial] == [(2, 6.0), (2, 12.0), (4, 6.0), (4, 12.0)]
+
+
+@pytest.mark.parametrize("window", [0, 57])
+def test_sweep_rejects_window_outside_block(window):
+    p = small_params(trials=10)
+    assert p.block_len == 56
+    with pytest.raises(InvalidConfig, match=f"window.*got {window}"):
+        sweep(p, [10.0], [4, window], [ThresholdKind.OPTIMAL],
+              ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
+
+
 def test_snr_trend_small_scale():
     # ensemble BER falls with source power; coarse grid so the gap is wide
     p = make_params(trials=3000, window=8)
@@ -265,3 +284,6 @@ def test_params_at_snr():
     p = make_params(noise_power=2.0)
     assert params_at_snr(p, 10.0).source_power == pytest.approx(20.0)
     assert params_at_snr(p, 0.0).source_power == pytest.approx(2.0)
+    for snr_db in (4000.0, -4000.0, math.nan):
+        with pytest.raises(InvalidConfig, match="snr_db"):
+            params_at_snr(p, snr_db)
