@@ -59,8 +59,12 @@ class RunConfig:
 _PHYSICAL = {f.name: f.type for f in fields(RunConfig) if f.type in (int, float, complex)}
 
 
+# Most points an SNR axis may have; the count is checked before the list is built.
+MAX_SNR_POINTS = 1000
+
+
 def _parse_snr_axis(text: str) -> list[float]:
-    """'start:stop:step' (stop inclusive) or a single value."""
+    """'start:stop:step' (stop inclusive, at most MAX_SNR_POINTS points) or a single value."""
     if ":" not in text:
         return [float(text)]
     parts = [float(p) for p in text.split(":")]
@@ -71,7 +75,10 @@ def _parse_snr_axis(text: str) -> list[float]:
         raise ValueError("components must be finite")
     if step <= 0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step    # inf when the ratio overflows
+    count = int(round(steps)) + 1 if steps < MAX_SNR_POINTS else math.inf
+    if count > MAX_SNR_POINTS:
+        raise ValueError(f"more than {MAX_SNR_POINTS} points")
     values = [start + i * step for i in range(count)]
     return [v for v in values if v <= stop + 1e-9]
 

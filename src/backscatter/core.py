@@ -7,8 +7,8 @@ body samples.
 """
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping
@@ -89,6 +89,11 @@ class SymbolFrame:
         return len(self.samples)
 
 
+# Smallest accepted power: the smallest normal double. A subnormal power has
+# lost significant bits and the energies derived from it underflow; a run at
+# noise_power 1e-310 decides no better than a coin flip.
+MIN_POWER = sys.float_info.min
+
 _INT_FIELDS = ("cp_len", "eff_len", "direct_order", "tag_order",
                "reflect_order", "window", "trials", "seed")
 _REQUIRED = _INT_FIELDS + ("source_power", "noise_power", "tag_gain")
@@ -149,10 +154,16 @@ def derive_params(raw: Mapping[str, object]) -> SystemParams:
     if not 1 <= p.window <= p.block_len:
         raise InvalidConfig(f"window must satisfy 1 <= window <= block_len={p.block_len}, got {p.window}")
     for name in ("source_power", "noise_power"):
-        if not 0 < getattr(p, name) < math.inf:
-            raise InvalidConfig(f"{name} must be finite and > 0, got {getattr(p, name)}")
-    if not cmath.isfinite(p.tag_gain):
-        raise InvalidConfig(f"tag_gain must be finite, got {p.tag_gain}")
+        if not MIN_POWER <= getattr(p, name) < math.inf:
+            raise InvalidConfig(f"{name} must be finite and >= {MIN_POWER} "
+                                f"(no subnormals), got {getattr(p, name)}")
+    # The detector scales use |tag_gain|**2, which must be a finite float too.
+    try:
+        gain_power = abs(p.tag_gain) ** 2
+    except OverflowError:
+        gain_power = math.inf
+    if not gain_power < math.inf:
+        raise InvalidConfig(f"tag_gain must be finite with a finite |tag_gain|**2, got {p.tag_gain}")
     if p.trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {p.trials}")
     if p.seed < 0:
@@ -165,13 +176,19 @@ def params_to_map(params: SystemParams) -> dict[str, object]:
     return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
-def complex_normal(rng: np.random.Generator, n: int, power: float) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, n: int, power: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """n i.i.d. circularly-symmetric complex Gaussians of the given power.
 
     Real and imaginary parts are interleaved draws, each of variance
-    ``power / 2``.
+    ``power / 2``. With ``out`` (a contiguous complex128 array of length
+    ``n``) the draws are written into it and it is returned.
     """
-    return rng.standard_normal(2 * n).view(np.complex128) * np.sqrt(power / 2.0)
+    if out is None:
+        out = np.empty(n, dtype=np.complex128)
+    rng.standard_normal(out=out.view(np.float64))
+    out *= math.sqrt(power / 2.0)
+    return out
 
 
 def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelSet:

@@ -1,10 +1,12 @@
 """Monte Carlo engine: per-trial pipeline, BER estimation and sweeps.
 
-Every trial derives its own random stream from (seed, point, trial index),
-so results are identical for any worker count or chunking, and aggregation
-is a plain error-count sum. Trials are independent symbols: zero
-pre-history is safe because every processed sample sits at least
-``max_order`` taps past the symbol start.
+The trials of a point run in fixed blocks of :data:`TRIAL_BLOCK`; each block
+draws from its own random stream keyed (seed, point, block), and the trials
+of a block draw from it in order. Workers take whole blocks, so results are
+identical for any worker count or chunking, and aggregation is a plain
+error-count sum. Trials are independent symbols: zero pre-history is safe
+because every processed sample sits at least ``max_order`` taps past the
+symbol start.
 """
 from __future__ import annotations
 
@@ -17,11 +19,17 @@ from itertools import product
 
 import numpy as np
 
-from .core import (ChannelSet, InvalidConfig, SystemParams, derive_params, draw_channels,
-                   generator, params_to_map, substream)
+from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, derive_params,
+                   draw_channels, generator, params_to_map, substream)
 from .detector import ThresholdKind, analytic_ber, compute_scales, detect, threshold_for
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
+
+
+# Trials per random stream. Setting up a stream (SeedSequence + PCG64) costs
+# a few tens of microseconds, under 1 us per trial when shared by 50 trials,
+# and a 100-trial point still splits into two blocks for two workers.
+TRIAL_BLOCK = 50
 
 
 class ChannelMode(Enum):
@@ -62,15 +70,16 @@ def params_at_snr(params: SystemParams, snr_db: float) -> SystemParams:
     SNR is defined against the per-sample noise power:
     ``snr_db = 10 log10(source_power / noise_power)``. Raises
     :class:`InvalidConfig` naming ``snr_db`` when the source power it gives is
-    not a finite positive number.
+    not a finite number of at least ``MIN_POWER``, the smallest normal double
+    (an underflow to a subnormal or zero power is rejected like an overflow).
     """
     try:
         power = params.noise_power * 10.0 ** (snr_db / 10.0)
     except OverflowError:
         power = math.inf
-    if not 0.0 < power < math.inf:
+    if not MIN_POWER <= power < math.inf:
         raise InvalidConfig(f"snr_db={snr_db} gives source_power={power}; "
-                            "need a finite positive power")
+                            f"need a finite power >= {MIN_POWER}")
     return replace(params, source_power=power)
 
 
@@ -83,29 +92,30 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
     rx = synth_reader_rx(source, tagged, gate, channels, params, rng)
     cancelled = cancel_interference(rx, params)
     spectrum = dft(fold(cancelled, params))
-    stat = float(energy_statistics(spectrum, params.window)[0])
+    stat = float(energy_statistics(spectrum[: params.window], params.window)[0])
     return TrialOutcome(true_bit=bit, decided_bit=detect(stat, threshold),
                         statistic=stat, threshold=threshold)
 
 
 def _count_errors(params: SystemParams, mode: ChannelMode, kind: ThresholdKind,
                   channels: ChannelSet | None, threshold: float | None,
-                  point: np.random.SeedSequence, start: int, stop: int) -> int:
-    """Errors over trials [start, stop); the chunk worker."""
+                  point: np.random.SeedSequence, first: int, last: int) -> int:
+    """Errors over trial blocks [first, last); the chunk worker."""
     errors = 0
-    for t in range(start, stop):
-        rng = generator(substream(point, 1, t))
-        bit = int(rng.integers(0, 2))
-        if mode is ChannelMode.REDRAW_PER_TRIAL:
-            ch = draw_channels(params, rng)
-            th = threshold if threshold is not None else threshold_for(
-                kind, compute_scales(params, ch), params.window)
-        else:
-            assert channels is not None and threshold is not None
-            ch, th = channels, threshold
-        outcome = run_trial(params, ch, bit, th, rng)
-        if outcome.decided_bit != bit:
-            errors += 1
+    for block in range(first, last):
+        rng = generator(substream(point, 1, block))
+        for _ in range(min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK)):
+            bit = int(rng.integers(0, 2))
+            if mode is ChannelMode.REDRAW_PER_TRIAL:
+                ch = draw_channels(params, rng)
+                th = threshold if threshold is not None else threshold_for(
+                    kind, compute_scales(params, ch), params.window)
+            else:
+                assert channels is not None and threshold is not None
+                ch, th = channels, threshold
+            outcome = run_trial(params, ch, bit, th, rng)
+            if outcome.decided_bit != bit:
+                errors += 1
     return errors
 
 
@@ -135,11 +145,12 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
         analytic = analytic_ber(threshold, scales, p.window)
 
     n = p.trials
+    blocks = (n + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     count = partial(_count_errors, p, mode, kind, channels, threshold, stream)
     if workers <= 1 or n < 2 * workers:
-        errors = count(0, n)
+        errors = count(0, blocks)
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int).tolist()
+        bounds = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = sum(pool.map(count, bounds[:-1], bounds[1:]))
 

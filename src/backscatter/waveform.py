@@ -43,10 +43,9 @@ def gen_source_symbol(params: SystemParams, rng: np.random.Generator) -> SymbolF
     ``cp_len`` body samples bit for bit.
     """
     n, c = params.eff_len, params.cp_len
-    body = complex_normal(rng, n, params.source_power)
     frame = np.empty(c + n, dtype=complex)
-    frame[c:] = body
-    frame[:c] = body[n - c:]
+    complex_normal(rng, n, params.source_power, out=frame[c:])
+    frame[:c] = frame[n:]
     return SymbolFrame(samples=frame, origin=FrameOrigin.SOURCE)
 
 
@@ -80,14 +79,23 @@ def synth_reader_rx(source: SymbolFrame, tag_in: SymbolFrame, gate: GateSequence
     Direct path plus the attenuated reflection of the gated tag input, plus
     white noise of power ``noise_power``. Pass ``rng=None`` for a noiseless
     frame (diagnostics and exactness tests).
+
+    The reflection is zero outside the gate's open span plus the reflect-path
+    spread, so only that span is convolved and added, clipped at the frame
+    end; a closed gate adds nothing. The direct path is filtered over the
+    whole frame, which keeps the prefix/body cancellation exact.
     """
     if source.origin is not FrameOrigin.SOURCE or tag_in.origin is not FrameOrigin.TAG_INPUT:
         raise ValueError("synth_reader_rx needs a source frame and a tag-input frame")
-    direct = taps_convolve(source.samples, channels.direct)
-    reflected = taps_convolve(gate.gate * tag_in.samples, channels.reflect)
-    y = direct + params.tag_gain * reflected
+    y = taps_convolve(source.samples, channels.direct)
+    open_at = np.flatnonzero(gate.gate)
+    if open_at.size:
+        lo, hi = open_at[0], open_at[-1] + 1
+        reflected = np.convolve(gate.gate[lo:hi] * tag_in.samples[lo:hi], channels.reflect)
+        stop = min(lo + len(reflected), len(y))
+        y[lo:stop] += params.tag_gain * reflected[: stop - lo]
     if rng is not None:
-        y = y + complex_normal(rng, len(y), params.noise_power)
+        y += complex_normal(rng, len(y), params.noise_power)
     return SymbolFrame(samples=y, origin=FrameOrigin.READER_RX)
 
 

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from backscatter.cli import (CSV_HEADER, ConfigError, RunConfig, main, parse_config,
-                             run)
+from backscatter.cli import (CSV_HEADER, MAX_SNR_POINTS, ConfigError, RunConfig, main,
+                             parse_config, run)
 from backscatter.detector import ThresholdKind
 from backscatter.sim import ChannelMode
 
@@ -40,9 +40,13 @@ def test_empty_invocation_yields_reference_defaults(monkeypatch):
 def test_snr_axis_forms():
     assert parse_config(["--snr", "15:25:5"]).snr_values == [15.0, 20.0, 25.0]
     assert parse_config(["--snr", "17.5"]).snr_values == [17.5]
-    with pytest.raises(SystemExit) as exc:
-        main(["--snr", "25:15:5"])
-    assert exc.value.code == 2
+    # the point limit is inclusive
+    assert MAX_SNR_POINTS == 1000
+    assert len(parse_config(["--snr", "0:999:1"]).snr_values) == 1000
+    for axis in ("25:15:5", "0:1000:1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--snr", axis])
+        assert exc.value.code == 2
 
 
 def test_w_zero_exits_2_naming_w(capsys):
@@ -93,6 +97,10 @@ def test_missing_config_file_exits_2(capsys):
     (["--snr", "4000"], None, "snr"),
     (["--snr", "-4000"], None, "snr"),
     (["--snr", "0:inf:1"], None, "snr"),
+    ([], "tag_gain = 1e200", "tag_gain"),           # finite, but |tag_gain|**2 overflows
+    ([], "noise_power = 1e-310", "noise_power"),    # subnormal
+    (["--snr", "-90"], "noise_power = 1e-300", "snr"),   # source power underflows
+    (["--snr", "0:30:1e-9"], None, "snr"),          # too many SNR points
 ])
 def test_bad_value_exits_2_naming_field(tmp_path, capsys, flags, config_line, name):
     out = tmp_path / "x.csv"

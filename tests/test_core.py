@@ -1,5 +1,6 @@
 """Parameter derivation, validation and channel-draw statistics."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ def test_negative_block_rejected():
     ("window", 241),          # block_len is 240
     ("source_power", 0.0),
     ("noise_power", -1.0),
+    ("source_power", 1e-310),   # subnormal
+    ("noise_power", 5e-324),
     ("eff_len", 100),         # shorter than the prefix
     ("trials", 0),
     ("seed", -1),
@@ -89,16 +92,32 @@ def test_inconsistent_max_order_rejected():
 _NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
 _OVERFLOWING = st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
                          st.integers(1, 9), st.integers(309, 10_000))
+# Finite gains whose power |tag_gain|**2, used by the detector scales, overflows.
+_POWER_OVERFLOWING = st.floats(1.35e154, 1.7e308) | st.floats(-1.7e308, -1.35e154)
+_BAD_FIELD_VALUES = st.one_of(
+    st.tuples(st.sampled_from(["source_power", "noise_power", "tag_gain"]),
+              st.one_of(_NON_FINITE, _OVERFLOWING)),
+    st.tuples(st.just("tag_gain"), _POWER_OVERFLOWING))
 
 
 @settings(deadline=None)
-@given(field=st.sampled_from(["source_power", "noise_power", "tag_gain"]),
-       value=st.one_of(_NON_FINITE, _OVERFLOWING), imaginary=st.booleans())
-def test_non_finite_or_overflowing_values_never_yield_params(field, value, imaginary):
+@given(field_value=_BAD_FIELD_VALUES, imaginary=st.booleans())
+def test_non_finite_or_overflowing_values_never_yield_params(field_value, imaginary):
+    field, value = field_value
     if field == "tag_gain" and imaginary:
         value = complex(0.5, float(value))
     with pytest.raises(InvalidConfig, match=field):
         derive_params(base_config(**{field: value}))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tag_gain", 1.3e154),                  # |tag_gain|**2 just below overflow
+    ("tag_gain", complex(9e153, -9e153)),
+    ("source_power", sys.float_info.min),   # smallest normal double
+    ("noise_power", sys.float_info.min),
+])
+def test_extreme_finite_values_are_accepted(field, value):
+    assert getattr(derive_params(base_config(**{field: value})), field) == value
 
 
 @settings(deadline=None)

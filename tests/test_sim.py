@@ -15,7 +15,8 @@ from backscatter import (ChannelMode, FrameOrigin, InvalidConfig, SymbolFrame,
                          ThresholdKind, cancel_interference, compute_scales, derive_params, dft,
                          draw_channels, estimate_ber, fold, generator, params_at_snr,
                          run_trial, substream, sweep, tag_gate, tag_input,
-                         synth_reader_rx)
+                         synth_reader_rx, threshold_for)
+from backscatter.sim import TRIAL_BLOCK
 
 
 def make_params(**overrides):
@@ -253,12 +254,41 @@ def test_sweep_rejects_empty_axes():
 
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_sweep_records_are_worker_invariant(mode):
-    p = small_params(trials=40)
-    args = (p, [6.0, 12.0], [2, 4], [ThresholdKind.OPTIMAL], mode)
-    serial = sweep(*args, np.random.SeedSequence(19))
-    forked = sweep(*args, np.random.SeedSequence(19), workers=2)
-    assert serial == forked
-    assert [(r.window, r.snr_db) for r in serial] == [(2, 6.0), (2, 12.0), (4, 6.0), (4, 12.0)]
+    # fewer trials than one stream block, and a count that is not a multiple
+    # of it: workers take whole blocks, so the split never shows in a record
+    assert 40 < TRIAL_BLOCK and (2 * TRIAL_BLOCK + 7) % TRIAL_BLOCK
+    for trials in (40, 2 * TRIAL_BLOCK + 7):
+        p = small_params(trials=trials)
+        args = (p, [6.0, 12.0], [2, 4], [ThresholdKind.OPTIMAL], mode)
+        serial = sweep(*args, np.random.SeedSequence(19))
+        for workers in (2, 3):
+            assert sweep(*args, np.random.SeedSequence(19), workers=workers) == serial
+        assert [(r.window, r.snr_db) for r in serial] == [(2, 6.0), (2, 12.0), (4, 6.0), (4, 12.0)]
+        assert all(r.trials == trials for r in serial)
+
+
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_trial_streams_are_keyed_per_block(mode):
+    # replay the documented layout: trial t of a point draws, in order, from
+    # generator(substream(point, 1, t // TRIAL_BLOCK)); channels from (point, 0)
+    p = small_params(trials=TRIAL_BLOCK + 9)
+    q = params_at_snr(p, 8.0)
+    point = np.random.SeedSequence(23)
+    kind = ThresholdKind.OPTIMAL
+    if mode is ChannelMode.FIXED_REALIZATION:
+        ch = draw_channels(q, generator(substream(point, 0)))
+        th = threshold_for(kind, compute_scales(q, ch), q.window)
+    errors = 0
+    for t in range(q.trials):
+        if t % TRIAL_BLOCK == 0:
+            rng = generator(substream(point, 1, t // TRIAL_BLOCK))
+        bit = int(rng.integers(0, 2))
+        if mode is ChannelMode.REDRAW_PER_TRIAL:
+            ch = draw_channels(q, rng)
+            th = threshold_for(kind, compute_scales(q, ch), q.window)
+        errors += run_trial(q, ch, bit, th, rng).decided_bit != bit
+    rec = estimate_ber(p, kind, mode, 8.0, point)
+    assert rec.empirical_ber == errors / q.trials
 
 
 @pytest.mark.parametrize("window", [0, 57])
@@ -287,3 +317,9 @@ def test_params_at_snr():
     for snr_db in (4000.0, -4000.0, math.nan):
         with pytest.raises(InvalidConfig, match="snr_db"):
             params_at_snr(p, snr_db)
+    # a source power that underflows to a subnormal is rejected like zero
+    tiny = make_params(noise_power=1e-300)
+    assert params_at_snr(tiny, -70.0).source_power == pytest.approx(1e-307)
+    for snr_db in (-90.0, -3000.0):
+        with pytest.raises(InvalidConfig, match="snr_db"):
+            params_at_snr(tiny, snr_db)

@@ -7,7 +7,7 @@ and the synthesis is built so they survive floating point unchanged.
 import numpy as np
 import pytest
 
-from backscatter import (ChannelSet, FrameOrigin, derive_params, draw_channels,
+from backscatter import (ChannelSet, FrameOrigin, GateSequence, derive_params, draw_channels,
                          gen_source_symbol, legacy_window, synth_reader_rx, tag_gate,
                          tag_input, taps_convolve)
 
@@ -169,6 +169,43 @@ def test_rx_noise_power():
     noisy = synth_reader_rx(src, tagged, tag_gate(p, 0), ch, p, np.random.default_rng(99)).samples
     w = noisy - clean
     assert abs(np.mean(np.abs(w) ** 2) - 3.0) < 3 * 3.0 / np.sqrt(len(w))
+
+
+def random_gates(n, rng):
+    """Gates of every shape synth_reader_rx must handle, by name."""
+    lo, hi = sorted(int(v) for v in rng.integers(0, n, 2))
+    interval = np.zeros(n)
+    interval[lo: hi + 1] = 1.0
+    holes = interval * (rng.random(n) < 0.5)
+    holes[[lo, hi]] = 1.0
+    to_end = np.zeros(n)
+    to_end[n - 5:] = 1.0                     # reflection tail clipped at the frame end
+    to_end[n - 3] = 0.0
+    return {"interval": interval, "holes": holes, "to_end": to_end, "closed": np.zeros(n)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gate_span_reflection_matches_full_frame_formula(seed):
+    p = make_params(tag_gain=0.7 - 0.2j)
+    rng = np.random.default_rng(40 + seed)
+    ch = draw_channels(p, rng)
+    muted = ChannelSet(direct=np.zeros_like(ch.direct), tag=ch.tag, reflect=ch.reflect)
+    src = gen_source_symbol(p, rng)
+    tagged = tag_input(src, ch.tag)
+    for name, g in random_gates(len(src), rng).items():
+        gate = GateSequence(gate=g, bit=int(g.any()))
+        want = (taps_convolve(src.samples, ch.direct)
+                + p.tag_gain * taps_convolve(g * tagged.samples, ch.reflect))
+        got = synth_reader_rx(src, tagged, gate, ch, p, rng=None).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        # with the direct path muted, nothing reaches past the open span's spread
+        y = synth_reader_rx(src, tagged, gate, muted, p, rng=None).samples
+        outside = np.ones(len(y), dtype=bool)
+        if g.any():
+            first, last = np.flatnonzero(g)[[0, -1]]
+            outside[first: last + p.reflect_order + 1] = False
+            assert np.any(y != 0), name
+        assert np.all(y[outside] == 0), name
 
 
 # ---------------------------------------------------------------- legacy receiver
