@@ -7,8 +7,8 @@ spectral energy with a maximum-likelihood threshold.
 """
 from .core import (ChannelSet, FrameOrigin, InvalidConfig, SymbolFrame, SystemParams,
                    derive_params, draw_channels, generator, params_to_map, substream)
-from .detector import (DegenerateScales, DetectionScales, DomainError, NoRealRoot,
-                       ThresholdKind, analytic_ber, compute_scales, detect,
+from .detector import (DegenerateScales, DetectionScales, DomainError, ThresholdKind,
+                       analytic_ber, compute_scales, detect,
                        equiprobable_threshold, equiprobable_threshold_exact,
                        optimal_threshold, optimal_threshold_simplified, qfunc,
                        qfunc_approx, threshold_for)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerRecord", "ChannelMode", "ChannelSet", "DegenerateScales", "DetectionScales",
-    "DomainError", "FrameOrigin", "GateSequence", "InvalidConfig", "NoRealRoot",
+    "DomainError", "FrameOrigin", "GateSequence", "InvalidConfig",
     "SymbolFrame", "SystemParams", "ThresholdKind", "TrialOutcome", "analytic_ber",
     "cancel_interference", "compute_scales", "derive_params", "detect", "dft",
     "draw_channels", "equiprobable_threshold", "equiprobable_threshold_exact",

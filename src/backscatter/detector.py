@@ -3,12 +3,12 @@
 The decision statistic for each hypothesis is modelled as Gaussian,
 ``N(noise_floor, noise_floor^2 / window)`` when the tag is silent and
 ``N(lift + floor, (lift + floor)^2 / window)`` when it reflects. Both
-thresholds are genie-aided: they consume the exact scales of the true
-channel realization.
+thresholds are genie-aided closed forms in the exact scales of the true
+channel realization; the equal-error one, the harmonic mean of the two
+hypothesis means, does not depend on the window.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,8 +17,6 @@ import numpy as np
 
 from .core import ChannelSet, SystemParams
 
-log = logging.getLogger(__name__)
-
 # One-sided Gaussian-tail approximation exp(-b x - a x^2) / 2.
 Q_APPROX_A = 0.416
 Q_APPROX_B = 0.717
@@ -26,10 +24,6 @@ Q_APPROX_B = 0.717
 
 class DegenerateScales(ValueError):
     """Both hypotheses coincide (no energy lift); no threshold exists."""
-
-
-class NoRealRoot(ArithmeticError):
-    """The closed-form threshold quadratic has no real solution."""
 
 
 class DomainError(ValueError):
@@ -86,10 +80,12 @@ def qfunc_approx(x: float) -> float:
 
 def _check_scales(scales: DetectionScales) -> tuple[float, float]:
     lift, floor = scales.signal_lift, scales.noise_floor
-    if not floor > 0:
-        raise ValueError(f"noise_floor must be > 0, got {floor}")
-    if not lift > 0:
-        raise DegenerateScales(f"signal_lift must be > 0 for a threshold, got {lift}")
+    if not 0 < floor < math.inf:
+        raise ValueError(f"noise_floor must be finite and > 0, got {floor}")
+    if not lift / floor > 0:
+        raise DegenerateScales(f"signal_lift must be > 0 against noise_floor={floor}, got {lift}")
+    if not (lift / floor < math.inf and lift + floor < math.inf):
+        raise ValueError(f"signal_lift={lift} over noise_floor={floor} overflows")
     return lift, floor
 
 
@@ -99,8 +95,9 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     Solves
         ((t - floor)/floor)^2 - ((t - lift - floor)/(lift + floor))^2
             = (2/window) * ln((lift + floor)/floor)
-    for its unique positive root. When the lift dominates the floor the root
-    lies strictly between the two hypothesis means; for very small
+    for its unique positive root, in ``r = lift/floor`` so that no product of
+    the scales can overflow. When the lift dominates the floor the root lies
+    strictly between the two hypothesis means; for very small
     lift-to-floor ratios (below roughly ``2/window``) the density crossing
     moves above the high mean, which is the correct equality point even
     though it leaves the bracket.
@@ -108,15 +105,10 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     lift, floor = _check_scales(scales)
-    high = lift + floor
-    logratio = math.log1p(lift / floor)
-    root = (floor * high / (lift + 2.0 * floor)
-            * (1.0 + math.sqrt(1.0 + (2.0 * logratio / window) * (lift + 2.0 * floor) / lift)))
-    if log.isEnabledFor(logging.DEBUG):
-        alt = optimal_threshold_simplified(scales, window)
-        log.debug("optimal threshold %.9g, simplified closed form %.9g, discrepancy %.3g",
-                  root, alt, abs(root - alt))
-    return root
+    r = lift / floor
+    lg = math.log1p(r)      # lg / r stays near 1 where 2 / r would overflow
+    return (floor * ((1.0 + r) / (2.0 + r))
+            * (1.0 + math.sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
 
 
 def optimal_threshold_simplified(scales: DetectionScales, window: int) -> float:
@@ -135,30 +127,18 @@ def optimal_threshold_simplified(scales: DetectionScales, window: int) -> float:
 
 
 def equiprobable_threshold(scales: DetectionScales, window: int) -> float:
-    """Threshold equalizing the two error probabilities, via the tail approximation.
+    """Threshold equalizing the two error probabilities, for any window.
 
-    With ``Q(x) ~ exp(-b x - a x^2)/2`` the balance condition becomes a
-    quadratic ``c0 t^2 + c1 t + c2 = 0`` with
-
-        c0 = a sqrt(window) (lift^2 + 2 lift floor) / (floor (lift + floor))
-        c1 = b (lift + 2 floor) - 2 a sqrt(window) lift
-        c2 = -2 b floor (lift + floor)
-
-    whose single positive root is returned. ``c0 > 0`` and ``c2 < 0`` for any
-    positive scales, so the discriminant check is defensive only.
+    Both error tails are one decreasing function (exact or approximated) of
+    ``(t - floor) sqrt(window)/floor`` and ``(high - t) sqrt(window)/high``, so
+    they are equal where those agree: at ``2 floor high / (floor + high)``, the
+    harmonic mean of the two hypothesis means, here in ``r = lift/floor``.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     lift, floor = _check_scales(scales)
-    high = lift + floor
-    sw = math.sqrt(window)
-    c0 = Q_APPROX_A * sw * (lift * lift + 2.0 * lift * floor) / (floor * high)
-    c1 = Q_APPROX_B * (lift + 2.0 * floor) - 2.0 * Q_APPROX_A * sw * lift
-    c2 = -2.0 * Q_APPROX_B * floor * high
-    disc = c1 * c1 - 4.0 * c0 * c2
-    if disc < 0:
-        raise NoRealRoot(f"discriminant {disc} < 0 for scales {scales} window {window}")
-    return (-c1 + math.sqrt(disc)) / (2.0 * c0)
+    r = lift / floor
+    return floor * ((1.0 + r) / (1.0 + 0.5 * r))
 
 
 def equiprobable_threshold_exact(scales: DetectionScales, window: int) -> float:

@@ -150,8 +150,9 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     if workers <= 1 or n < 2 * workers:
         errors = count(0, blocks)
     else:
-        bounds = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        used = min(workers, blocks)     # a worker without a block would idle
+        bounds = np.linspace(0, blocks, used + 1, dtype=int).tolist()
+        with ProcessPoolExecutor(max_workers=used) as pool:
             errors = sum(pool.map(count, bounds[:-1], bounds[1:]))
 
     ber = errors / n

@@ -114,6 +114,23 @@ def test_bad_value_exits_2_naming_field(tmp_path, capsys, flags, config_line, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["fixed", "redraw"])
+@pytest.mark.parametrize("flags,config_line,name", [
+    ([], "tag_gain = 1e151", "signal_lift"),          # the lift overflows
+    (["--snr", "0"], "noise_power = 1e307", "noise_floor"),
+])
+def test_scale_overflow_exits_1_without_csv(tmp_path, capsys, flags, config_line, name, mode):
+    # valid configuration whose drawn channel scales overflow: found at run time
+    out = tmp_path / "x.csv"
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text(config_line + "\n")
+    argv = flags + ["--config", str(cfile), "--channel-mode", mode, "--trials", "60",
+                    "--seed", "1", "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- running
 
 def small_cfg(tmp_path, **overrides):
@@ -198,3 +215,15 @@ def test_csv_floats_carry_nine_significant_digits(tmp_path):
     mantissa = analytic_field.replace("-", "").replace(".", "").lstrip("0")
     mantissa = mantissa.split("e")[0]
     assert len(mantissa) == 9
+
+
+@pytest.mark.parametrize("config_line", ["tag_gain = 1e77", "tag_gain = 1e150"])
+def test_huge_finite_gain_writes_no_nan(tmp_path, config_line):
+    out = tmp_path / "x.csv"
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text(config_line + "\n")
+    assert run_cli(["--config", str(cfile), "--threshold", "both", "--trials", "60",
+                    "--seed", "1", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row[5:])

@@ -213,6 +213,19 @@ def test_equiprobable_exact_reference():
         p0 = qfunc((t - floor) * sw / floor)
         p1 = qfunc((high - t) * sw / high)
         assert abs(p0 - p1) <= 1e-12
+        # the closed form is the exact balance point, whatever the window
+        closed = equiprobable_threshold(scales, window)
+        assert closed == pytest.approx(t, rel=1e-12)
+        assert all(equiprobable_threshold(scales, w) == closed for w in (1, 8, 64))
+    # both closed forms stay finite and bracketed out to extreme ratios
+    for floor in (1e-3, 496.0, 1e6):
+        for ratio in np.logspace(1, 300, 61):
+            scales = DetectionScales(float(ratio) * floor, floor)
+            high = scales.signal_lift + floor
+            for window in (1, 8, 64):
+                for t in (optimal_threshold(scales, window),
+                          equiprobable_threshold(scales, window)):
+                    assert math.isfinite(t) and floor < t < high
 
 
 def test_equiprobable_closed_form_error_within_approximation_bound():
@@ -233,6 +246,33 @@ def test_equiprobable_closed_form_error_within_approximation_bound():
 def test_equiprobable_degenerate():
     with pytest.raises(DegenerateScales):
         equiprobable_threshold(DetectionScales(0.0, 496.0), 8)
+
+
+def test_thresholds_at_vanishing_lift():
+    # as lift/floor -> 0 the density crossing tends to floor (1 + sqrt(1 + 4/W)) / 2
+    # and the equal-error point to floor, down to subnormal ratios
+    floor = 496.0
+    for ratio in (1e-12, 1e-300, 1e-317):
+        scales = DetectionScales(ratio * floor, floor)
+        for window in (1, 8, 64):
+            limit = floor * (1.0 + math.sqrt(1.0 + 4.0 / window)) / 2.0
+            assert optimal_threshold(scales, window) == pytest.approx(limit, rel=1e-9)
+            assert equiprobable_threshold(scales, window) == pytest.approx(floor, rel=1e-9)
+    with pytest.raises(DegenerateScales):       # the ratio underflows to zero
+        optimal_threshold(DetectionScales(1e-300, 1e30), 8)
+
+
+@pytest.mark.parametrize("lift,floor,name", [
+    (496.0, math.inf, "noise_floor"),
+    (math.inf, 496.0, "signal_lift"),
+    (1e300, 1e-10, "signal_lift"),      # finite scales, infinite lift/floor
+    (1.5e308, 1e308, "signal_lift"),    # finite ratio, infinite high mean
+])
+def test_thresholds_reject_overflowing_scales(lift, floor, name):
+    for threshold in (optimal_threshold, equiprobable_threshold, equiprobable_threshold_exact):
+        with pytest.raises(ValueError, match=name) as exc:
+            threshold(DetectionScales(lift, floor), 8)
+        assert exc.type is ValueError
 
 
 # ------------------------------------------------------------- decision and BER

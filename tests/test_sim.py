@@ -267,6 +267,36 @@ def test_sweep_records_are_worker_invariant(mode):
         assert all(r.trials == trials for r in serial)
 
 
+def test_pool_is_sized_to_the_blocks(monkeypatch):
+    # a pool never starts a worker that would get no trial block
+    import backscatter.sim as sim_module
+    pools = []
+
+    class RecordingPool(sim_module.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append({"workers": max_workers})
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            ranges = list(zip(*iterables))
+            pools[-1]["ranges"] = ranges
+            return super().map(fn, *zip(*ranges), **kwargs)
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+    for trials, workers, used in ((40, 2, 1), (2 * TRIAL_BLOCK + 7, 2, 2),
+                                  (2 * TRIAL_BLOCK + 7, 4, 3)):
+        p = small_params(trials=trials)
+        args = (p, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 8.0)
+        serial = estimate_ber(*args, np.random.SeedSequence(29))
+        pools.clear()
+        assert estimate_ber(*args, np.random.SeedSequence(29), workers=workers) == serial
+        blocks = -(-trials // TRIAL_BLOCK)
+        assert [pool["workers"] for pool in pools] == [used]
+        ranges = pools[0]["ranges"]
+        assert len(ranges) == used and all(first < last for first, last in ranges)
+        assert [first for first, _ in ranges] + [blocks] == [0] + [last for _, last in ranges]
+
+
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_trial_streams_are_keyed_per_block(mode):
     # replay the documented layout: trial t of a point draws, in order, from
