@@ -17,15 +17,12 @@ import numpy as np
 
 from .core import InvalidConfig, derive_params
 from .detector import ThresholdKind
-from .sim import BerRecord, ChannelMode, params_at_snr, sweep
+from .sim import BerRecord, ChannelMode, sweep
 
 CSV_HEADER = "snr_db,w,threshold_kind,channel_mode,trials,empirical_ber,stderr,analytic_ber"
 
-_KIND_CHOICES = {"optimal": [ThresholdKind.OPTIMAL],
-                 "equiprobable": [ThresholdKind.EQUIPROBABLE],
-                 "both": [ThresholdKind.OPTIMAL, ThresholdKind.EQUIPROBABLE]}
-_MODE_CHOICES = {"fixed": ChannelMode.FIXED_REALIZATION,
-                 "redraw": ChannelMode.REDRAW_PER_TRIAL}
+_KIND_CHOICES = {**{kind.value: [kind] for kind in ThresholdKind}, "both": list(ThresholdKind)}
+_MODE_CHOICES = {mode.value: mode for mode in ChannelMode}
 
 
 class ConfigError(ValueError):
@@ -145,8 +142,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve defaults, config file, environment and flags into a RunConfig.
 
     Precedence, lowest to highest: built-in defaults, BACKSCATTER_SEED (seed
-    only), config file, flags. The resulting parameter set is validated for
-    every requested (window, SNR) combination before anything runs.
+    only), config file, flags. This only parses each value; :func:`run` checks
+    the parameter set.
     """
     args = vars(_build_argparser().parse_args(argv))
     cfg = RunConfig()
@@ -156,7 +153,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if config_path := args.pop("config"):
         _apply_entries(cfg, _read_config_file(config_path))
     _apply_entries(cfg, {key: value for key, value in args.items() if value is not None})
-    _validate(cfg)
     return cfg
 
 
@@ -169,25 +165,6 @@ def _apply_entries(cfg: RunConfig, entries: dict[str, str]) -> None:
             setattr(cfg, attr, parse(value))
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot use {value!r} ({exc})") from None
-
-
-def _param_map(cfg: RunConfig, window: int) -> dict[str, object]:
-    """The :func:`derive_params` map of ``cfg`` at unit source power."""
-    return {**{name: getattr(cfg, name) for name in _PHYSICAL},
-            "source_power": 1.0, "window": window}
-
-
-def _validate(cfg: RunConfig) -> None:
-    for w in cfg.w_values:
-        try:
-            params = derive_params(_param_map(cfg, w))
-        except InvalidConfig as exc:
-            raise ConfigError(f"W={w}: {exc}") from None
-        for snr in cfg.snr_values:
-            try:
-                params_at_snr(params, snr)
-            except InvalidConfig as exc:
-                raise ConfigError(str(exc)) from None
 
 
 def _format_value(value: float | None) -> str:
@@ -221,15 +198,21 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured sweep; returns the process exit code."""
+    """Execute the configured sweep; returns the process exit code.
+
+    The code is 2 when a parameter or a (window, SNR) cell of the grid is
+    invalid, which :func:`sweep` finds before its first trial, and 1 for any
+    other failure. No CSV is written in either case.
+    """
     try:
-        params = derive_params(_param_map(cfg, cfg.w_values[0]))
+        params = derive_params({**{name: getattr(cfg, name) for name in _PHYSICAL},
+                                "source_power": 1.0, "window": cfg.w_values[0]})
         records = sweep(params, cfg.snr_values, cfg.w_values, cfg.kinds, cfg.mode,
                         np.random.SeedSequence(cfg.seed))
         _write_atomic(cfg.out_path, "\n".join(_csv_lines(records)) + "\n")
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidConfig) else 1
 
     print(f"{'snr_db':>8} {'w':>4} {'threshold':>12} {'mode':>7} {'trials':>9} "
           f"{'empirical':>12} {'stderr':>12} {'analytic':>12}")

@@ -47,13 +47,16 @@ class SystemParams:
     direct_order: int
     tag_order: int
     reflect_order: int
-    max_order: int
     source_power: float
     noise_power: float
     tag_gain: complex
     window: int
     trials: int
     seed: int
+
+    @property
+    def max_order(self) -> int:
+        return max(self.direct_order, self.tag_order, self.reflect_order)
 
     @property
     def cancel_len(self) -> int:
@@ -94,17 +97,13 @@ class SymbolFrame:
 # noise_power 1e-310 decides no better than a coin flip.
 MIN_POWER = sys.float_info.min
 
-_INT_FIELDS = ("cp_len", "eff_len", "direct_order", "tag_order",
-               "reflect_order", "window", "trials", "seed")
-_REQUIRED = _INT_FIELDS + ("source_power", "noise_power", "tag_gain")
+# Field types are strings under ``from __future__ import annotations``.
+_REQUIRED = tuple(f.name for f in fields(SystemParams))
+_INT_FIELDS = tuple(f.name for f in fields(SystemParams) if f.type == "int")
 
 
 def derive_params(raw: Mapping[str, object]) -> SystemParams:
     """Build a validated :class:`SystemParams` from a flat field map.
-
-    ``max_order`` is always recomputed; if the map carries ``max_order`` (for
-    example when re-deriving from an existing parameter set) the provided
-    value must agree with the recomputed one.
 
     Raises :class:`InvalidConfig` naming the offending field on any
     violation.
@@ -130,11 +129,7 @@ def derive_params(raw: Mapping[str, object]) -> SystemParams:
     except (TypeError, ValueError):
         raise InvalidConfig(f"tag_gain must be a complex number, got {raw['tag_gain']!r}") from None
 
-    max_order = max(vals["direct_order"], vals["tag_order"], vals["reflect_order"])
-    if "max_order" in raw and int(raw["max_order"]) != max_order:  # type: ignore[arg-type]
-        raise InvalidConfig(f"max_order {raw['max_order']} inconsistent with tap orders (expect {max_order})")
-
-    p = SystemParams(max_order=max_order, **vals)  # type: ignore[arg-type]
+    p = SystemParams(**vals)  # type: ignore[arg-type]
 
     if p.cp_len < 1:
         raise InvalidConfig(f"cp_len must be positive, got {p.cp_len}")

@@ -78,7 +78,10 @@ def qfunc_approx(x: float) -> float:
     return math.exp(-Q_APPROX_B * x - Q_APPROX_A * x * x) / 2.0
 
 
-def _check_scales(scales: DetectionScales) -> tuple[float, float]:
+def _check_scales(scales: DetectionScales, window: int) -> tuple[float, float]:
+    """The (lift, floor) of valid scales for a threshold at ``window``."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     lift, floor = scales.signal_lift, scales.noise_floor
     if not 0 < floor < math.inf:
         raise ValueError(f"noise_floor must be finite and > 0, got {floor}")
@@ -102,9 +105,7 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     moves above the high mean, which is the correct equality point even
     though it leaves the bracket.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    lift, floor = _check_scales(scales)
+    lift, floor = _check_scales(scales, window)
     r = lift / floor
     lg = math.log1p(r)      # lg / r stays near 1 where 2 / r would overflow
     return (floor * ((1.0 + r) / (2.0 + r))
@@ -119,7 +120,7 @@ def optimal_threshold_simplified(scales: DetectionScales, window: int) -> float:
     any realistic scale it collapses towards ``2*floor*high/(lift+2*floor)``,
     the equal-error-probability point, rather than the density-equality root.
     """
-    lift, floor = _check_scales(scales)
+    lift, floor = _check_scales(scales, window)
     high = lift + floor
     logratio = math.log1p(lift / floor)
     radicand = (floor * high) ** 2 + (2.0 + 4.0 * floor / lift) * logratio / window
@@ -134,9 +135,7 @@ def equiprobable_threshold(scales: DetectionScales, window: int) -> float:
     they are equal where those agree: at ``2 floor high / (floor + high)``, the
     harmonic mean of the two hypothesis means, here in ``r = lift/floor``.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    lift, floor = _check_scales(scales)
+    lift, floor = _check_scales(scales, window)
     r = lift / floor
     return floor * ((1.0 + r) / (1.0 + 0.5 * r))
 
@@ -148,9 +147,7 @@ def equiprobable_threshold_exact(scales: DetectionScales, window: int) -> float:
     threshold sweeps from the low mean to the high one, so their difference
     has a single sign change inside that bracket.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    lift, floor = _check_scales(scales)
+    lift, floor = _check_scales(scales, window)
     high = lift + floor
     sw = math.sqrt(window)
 

@@ -97,24 +97,23 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
                         statistic=stat, threshold=threshold)
 
 
-def _count_errors(params: SystemParams, mode: ChannelMode, kind: ThresholdKind,
+def _count_errors(params: SystemParams, kind: ThresholdKind,
                   channels: ChannelSet | None, threshold: float | None,
                   point: np.random.SeedSequence, first: int, last: int) -> int:
-    """Errors over trial blocks [first, last); the chunk worker."""
+    """Errors over trial blocks [first, last); the chunk worker.
+
+    Without ``channels`` every trial draws its own, and without ``threshold``
+    every trial computes the genie threshold of its channels.
+    """
     errors = 0
     for block in range(first, last):
         rng = generator(substream(point, 1, block))
         for _ in range(min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK)):
             bit = int(rng.integers(0, 2))
-            if mode is ChannelMode.REDRAW_PER_TRIAL:
-                ch = draw_channels(params, rng)
-                th = threshold if threshold is not None else threshold_for(
-                    kind, compute_scales(params, ch), params.window)
-            else:
-                assert channels is not None and threshold is not None
-                ch, th = channels, threshold
-            outcome = run_trial(params, ch, bit, th, rng)
-            if outcome.decided_bit != bit:
+            ch = draw_channels(params, rng) if channels is None else channels
+            th = threshold if threshold is not None else threshold_for(
+                kind, compute_scales(params, ch), params.window)
+            if run_trial(params, ch, bit, th, rng).decided_bit != bit:
                 errors += 1
     return errors
 
@@ -146,7 +145,7 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
 
     n = p.trials
     blocks = (n + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    count = partial(_count_errors, p, mode, kind, channels, threshold, stream)
+    count = partial(_count_errors, p, kind, channels, threshold, stream)
     if workers <= 1 or n < 2 * workers:
         errors = count(0, blocks)
     else:
@@ -166,12 +165,15 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
           stream: np.random.SeedSequence, *, workers: int = 1) -> list[BerRecord]:
     """BER over the (window x SNR x threshold kind) grid, one record per cell.
 
-    Each cell gets its own substream keyed by enumeration order, so a rerun
-    with the same stream reproduces every record bit for bit.
+    Every (window, SNR) cell is derived before the first trial runs, so a bad
+    cell raises :class:`InvalidConfig` before any work is done. Each cell gets
+    its own substream keyed by enumeration order, so a rerun with the same
+    stream reproduces every record bit for bit.
     """
     if not snr_values or not w_values or not kinds:
         raise ValueError("sweep needs non-empty snr_values, w_values and kinds")
     base = params_to_map(params)
-    windowed = [derive_params({**base, "window": w}) for w in w_values]
+    cells = [(params_at_snr(derive_params({**base, "window": w}), snr), snr)
+             for w in w_values for snr in snr_values]
     return [estimate_ber(p, kind, mode, snr, substream(stream, idx), workers=workers)
-            for idx, ((p, snr), kind) in enumerate(product(product(windowed, snr_values), kinds))]
+            for idx, ((p, snr), kind) in enumerate(product(cells, kinds))]

@@ -185,6 +185,18 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("overrides,name", [
+    ({"w_values": [4, 0]}, "window"),
+    ({"snr_values": [12.0, 4000.0]}, "snr_db"),
+])
+def test_bad_later_grid_cell_exits_2_without_csv(tmp_path, capsys, overrides, name):
+    # the grid is checked cell by cell before the first trial of the first cell
+    cfg = small_cfg(tmp_path, **overrides)
+    assert run(cfg) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_unwritable_output_exits_1_without_file(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "out.csv"
     cfg = small_cfg(tmp_path, out_path=str(out))

@@ -275,6 +275,14 @@ def test_thresholds_reject_overflowing_scales(lift, floor, name):
         assert exc.type is ValueError
 
 
+@pytest.mark.parametrize("threshold", [optimal_threshold, optimal_threshold_simplified,
+                                       equiprobable_threshold, equiprobable_threshold_exact])
+def test_thresholds_reject_window_zero(threshold):
+    with pytest.raises(ValueError, match="window") as exc:
+        threshold(DetectionScales(496.0, 496.0), 0)
+    assert exc.type is ValueError
+
+
 # ------------------------------------------------------------- decision and BER
 
 def test_detect_rule_and_tie_break():

@@ -330,6 +330,22 @@ def test_sweep_rejects_window_outside_block(window):
               ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
 
 
+def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch):
+    import backscatter.sim as sim_module
+    calls = []
+
+    def counting_run_trial(*args):
+        calls.append(args)
+        return run_trial(*args)
+
+    monkeypatch.setattr(sim_module, "run_trial", counting_run_trial)
+    p = small_params(trials=10)
+    with pytest.raises(InvalidConfig, match="snr_db"):
+        sweep(p, [10.0, 4000.0], [4], [ThresholdKind.OPTIMAL],
+              ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
+    assert calls == []
+
+
 def test_snr_trend_small_scale():
     # ensemble BER falls with source power; coarse grid so the gap is wide
     p = make_params(trials=3000, window=8)
