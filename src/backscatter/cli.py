@@ -205,8 +205,9 @@ def run(cfg: RunConfig) -> int:
     other failure. No CSV is written in either case.
     """
     try:
+        # sweep derives every window of w_values, and window 1 fits any geometry
         params = derive_params({**{name: getattr(cfg, name) for name in _PHYSICAL},
-                                "source_power": 1.0, "window": cfg.w_values[0]})
+                                "source_power": 1.0, "window": 1})
         records = sweep(params, cfg.snr_values, cfg.w_values, cfg.kinds, cfg.mode,
                         np.random.SeedSequence(cfg.seed))
         _write_atomic(cfg.out_path, "\n".join(_csv_lines(records)) + "\n")

@@ -181,8 +181,9 @@ def complex_normal(rng: np.random.Generator, n: int, power: float,
     """
     if out is None:
         out = np.empty(n, dtype=np.complex128)
-    rng.standard_normal(out=out.view(np.float64))
-    out *= math.sqrt(power / 2.0)
+    parts = out.view(np.float64)
+    rng.standard_normal(out=parts)
+    parts *= math.sqrt(power / 2.0)
     return out
 
 

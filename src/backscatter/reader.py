@@ -59,4 +59,4 @@ def energy_statistics(spectrum: np.ndarray, window: int) -> np.ndarray:
         raise ValueError(f"window must satisfy 1 <= window <= {len(spectrum)}, got {window}")
     groups = len(spectrum) // window
     energy = np.abs(spectrum[: groups * window]) ** 2
-    return energy.reshape(groups, window).mean(axis=1)
+    return np.add.reduce(energy.reshape(groups, window), axis=1) / window

@@ -166,12 +166,14 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
     """BER over the (window x SNR x threshold kind) grid, one record per cell.
 
     Every (window, SNR) cell is derived before the first trial runs, so a bad
-    cell raises :class:`InvalidConfig` before any work is done. Each cell gets
+    cell or an empty axis raises :class:`InvalidConfig` before any work is
+    done; ``params.window`` is replaced by each of ``w_values``. Each cell gets
     its own substream keyed by enumeration order, so a rerun with the same
     stream reproduces every record bit for bit.
     """
-    if not snr_values or not w_values or not kinds:
-        raise ValueError("sweep needs non-empty snr_values, w_values and kinds")
+    for name, axis in (("snr_values", snr_values), ("w_values", w_values), ("kinds", kinds)):
+        if not axis:
+            raise InvalidConfig(f"{name} is empty; a sweep needs at least one value")
     base = params_to_map(params)
     cells = [(params_at_snr(derive_params({**base, "window": w}), snr), snr)
              for w in w_values for snr in snr_values]

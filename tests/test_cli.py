@@ -197,6 +197,14 @@ def test_bad_later_grid_cell_exits_2_without_csv(tmp_path, capsys, overrides, na
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("axis", ["snr_values", "w_values", "kinds"])
+def test_empty_axis_exits_2_without_csv(tmp_path, capsys, axis):
+    cfg = small_cfg(tmp_path, **{axis: []})
+    assert run(cfg) == 2
+    assert axis in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_unwritable_output_exits_1_without_file(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "out.csv"
     cfg = small_cfg(tmp_path, out_path=str(out))

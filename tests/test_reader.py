@@ -54,8 +54,14 @@ def circulant_from_column(col):
 
 # ------------------------------------------------------------- cancellation
 
-def test_silent_tag_cancels_exactly():
-    p = make_params()
+# The reference geometry runs the frame-length convolutions on the real-part
+# split; the short one (128-sample frames) runs them as complex convolutions.
+@pytest.mark.parametrize("geometry", [
+    {},
+    dict(cp_len=64, eff_len=64, direct_order=4, tag_order=4, reflect_order=4, window=4),
+], ids=["reference", "short"])
+def test_silent_tag_cancels_exactly(geometry):
+    p = make_params(**geometry)
     for seed in range(10):
         _, _, _, rx = receive(p, 0, seed)
         z = cancel_interference(rx, p)

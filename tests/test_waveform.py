@@ -10,6 +10,7 @@ import pytest
 from backscatter import (ChannelSet, FrameOrigin, GateSequence, derive_params, draw_channels,
                          gen_source_symbol, legacy_window, synth_reader_rx, tag_gate,
                          tag_input, taps_convolve)
+from backscatter.waveform import SPLIT_MAX_TAPS, SPLIT_MIN_OUTPUTS
 
 
 def make_params(**overrides):
@@ -109,6 +110,64 @@ def test_tag_input_matches_brute_force():
     got = tag_input(src, taps).samples
     want = brute_force_convolve(src.samples, taps)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------- convolution
+
+def complex_samples(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+# input lengths whose convolution with at most SPLIT_MAX_TAPS taps runs the
+# complex and the split branch
+BRANCH_LENGTHS = [64, SPLIT_MIN_OUTPUTS + 100]
+
+
+@pytest.mark.parametrize("n_taps", [1, 5, 9, 17])
+@pytest.mark.parametrize("n", [1, 9, SPLIT_MIN_OUTPUTS - 1, SPLIT_MIN_OUTPUTS + 1, 1280])
+def test_taps_convolve_matches_brute_force(n, n_taps):
+    rng = np.random.default_rng(100 * n + n_taps)
+    x, taps = complex_samples(rng, n), complex_samples(rng, n_taps)
+    got = taps_convolve(x, taps)
+    want = brute_force_convolve(x, taps)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,n_taps,calls", [
+    (BRANCH_LENGTHS[0], 9, 1),
+    (BRANCH_LENGTHS[1], 9, 4),
+    (BRANCH_LENGTHS[1], SPLIT_MAX_TAPS + 1, 1),
+])
+def test_convolution_branch_choice(monkeypatch, n, n_taps, calls):
+    # one complex convolve, or four float64 ones on the real and imaginary parts
+    seen = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, v: seen.append(a.dtype) or convolve(a, v))
+    rng = np.random.default_rng(n)
+    taps_convolve(complex_samples(rng, n), complex_samples(rng, n_taps))
+    assert seen == [np.dtype(complex) if calls == 1 else np.dtype(float)] * calls
+
+
+@pytest.mark.parametrize("n", BRANCH_LENGTHS)
+def test_identity_and_unit_delay_taps_are_exact(n):
+    x = complex_samples(np.random.default_rng(n), n)
+    assert np.array_equal(taps_convolve(x, np.array([1.0 + 0j])), x)
+    delayed = taps_convolve(x, np.array([0.0, 1.0 + 0j]))
+    assert delayed[0] == 0
+    assert np.array_equal(delayed[1:], x[:-1])
+
+
+@pytest.mark.parametrize("n_taps", [5, 9])
+@pytest.mark.parametrize("n", BRANCH_LENGTHS)
+def test_equal_windows_give_equal_outputs(n, n_taps):
+    # the prefix/body relation: the last w inputs repeat the first w bit for
+    # bit, so every output past the taps' reach repeats too
+    rng = np.random.default_rng(n + n_taps)
+    x, taps = complex_samples(rng, n), complex_samples(rng, n_taps)
+    w = n // 4
+    x[n - w:] = x[:w]
+    y = taps_convolve(x, taps)
+    assert np.array_equal(y[n_taps - 1: w], y[n - w + n_taps - 1:])
 
 
 def test_tag_input_requires_source_frame():
