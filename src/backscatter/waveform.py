@@ -32,7 +32,7 @@ class GateSequence:
 
 # Full convolutions of at least this many outputs split into real parts: one
 # complex convolve makes a BLAS dot call per output, four float64 ones run
-# numpy's unrolled small-kernel loop. With 9 taps the split broke even near
+# numpy's small-kernel loop. With 9 taps the split broke even near
 # 500 outputs (2x slower at 132, 1.5x faster at 1288, numpy 2.4, x86-64).
 SPLIT_MIN_OUTPUTS = 500
 # numpy's float64 convolve has a fast loop for kernels of at most 11 taps; from
