@@ -9,9 +9,9 @@ spread, backscatter energy stays inside the prefix and legacy receivers
 Exactness contract: every convolution here adds the taps in one fixed order
 at every output position, so two positions whose input windows are bitwise
 identical give bitwise-identical outputs. The reader's prefix/body
-cancellation rests on this. Long convolutions with few taps run as four
-float64 convolutions of the real and imaginary parts; the rest run as one
-complex convolution. Both branches keep the contract.
+cancellation rests on this. Long convolutions run as four float64
+convolutions of the real and imaginary parts; short ones run as one complex
+convolution. Both branches keep the contract.
 """
 from __future__ import annotations
 
@@ -33,43 +33,40 @@ class GateSequence:
 # Full convolutions of at least this many outputs split into real parts: one
 # complex convolve makes a BLAS dot call per output, four float64 ones run
 # numpy's small-kernel loop. With 9 taps the split broke even near
-# 500 outputs (2x slower at 132, 1.5x faster at 1288, numpy 2.4, x86-64).
+# 500 outputs (2x slower at 132, 1.6x faster at 1288, numpy 2.4, x86-64).
 SPLIT_MIN_OUTPUTS = 500
-# numpy's float64 convolve has a fast loop for kernels of at most 11 taps; from
-# 12 taps it also makes one dot call per output, and the split was 1.5-2x
-# slower than one complex convolve (12 and 17 taps, 1288 outputs).
-SPLIT_MAX_TAPS = 11
 
 
 def _full_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Full convolution of complex ``x`` and ``taps``, ``len(x) + len(taps) - 1`` outputs.
 
-    From :data:`SPLIT_MIN_OUTPUTS` outputs and up to :data:`SPLIT_MAX_TAPS`
-    taps it makes four float64 convolutions of the real and imaginary parts,
-    ``re = xr*hr - xi*hi`` and ``im = xr*hi + xi*hr``; otherwise one complex
+    From :data:`SPLIT_MIN_OUTPUTS` outputs it makes four float64 convolutions
+    of the real and imaginary parts, ``re = xr*hr - xi*hi`` and
+    ``im = xr*hi + xi*hr``, each as ``np.correlate`` with the reversed taps
+    (the loop ``np.convolve`` runs, without its wrapper); below, one complex
     convolution. Either way each output adds the taps in one fixed order, so
     bitwise-equal input windows give bitwise-equal outputs.
     """
     n = len(x) + len(taps) - 1
-    if n < SPLIT_MIN_OUTPUTS or len(taps) > SPLIT_MAX_TAPS:
+    if n < SPLIT_MIN_OUTPUTS:
         return np.convolve(x, taps)
     xr, xi = x.real.copy(), x.imag.copy()
-    hr, hi = taps.real, taps.imag
+    h = taps[::-1]
+    hr, hi = h.real.copy(), h.imag.copy()
     out = np.empty(n, dtype=complex)
-    np.subtract(np.convolve(xr, hr), np.convolve(xi, hi), out=out.real)
-    np.add(np.convolve(xr, hi), np.convolve(xi, hr), out=out.imag)
+    np.subtract(np.correlate(xr, hr, "full"), np.correlate(xi, hi, "full"), out=out.real)
+    np.add(np.correlate(xr, hi, "full"), np.correlate(xi, hr, "full"), out=out.imag)
     return out
 
 
 def taps_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Causal FIR filter with zero pre-history, output trimmed to ``len(x)``.
 
-    Long frames with few taps run as four float64 convolutions of the real
-    and imaginary parts, the rest as one complex convolution (see
-    :func:`_full_convolve`). Either branch adds the taps in one fixed order at
-    every output position, so two positions whose input windows are bitwise
-    identical produce bitwise-identical outputs. The prefix/body cancellation
-    relies on this.
+    Long frames run as four float64 convolutions of the real and imaginary
+    parts, short ones as one complex convolution (see :func:`_full_convolve`).
+    Either branch adds the taps in one fixed order at every output position,
+    so two positions whose input windows are bitwise identical produce
+    bitwise-identical outputs. The prefix/body cancellation relies on this.
     """
     return _full_convolve(np.asarray(x, dtype=complex), np.asarray(taps, dtype=complex))[: len(x)]
 
@@ -128,7 +125,7 @@ def synth_reader_rx(source: SymbolFrame, tag_in: SymbolFrame, gate: GateSequence
     if source.origin is not FrameOrigin.SOURCE or tag_in.origin is not FrameOrigin.TAG_INPUT:
         raise ValueError("synth_reader_rx needs a source frame and a tag-input frame")
     y = taps_convolve(source.samples, channels.direct)
-    open_at = np.flatnonzero(gate.gate)
+    open_at = gate.gate.nonzero()[0]
     if open_at.size:
         lo, hi = open_at[0], open_at[-1] + 1
         reflected = _full_convolve(gate.gate[lo:hi] * tag_in.samples[lo:hi], channels.reflect)

@@ -10,7 +10,7 @@ import pytest
 from backscatter import (ChannelSet, FrameOrigin, GateSequence, derive_params, draw_channels,
                          gen_source_symbol, legacy_window, synth_reader_rx, tag_gate,
                          tag_input, taps_convolve)
-from backscatter.waveform import SPLIT_MAX_TAPS, SPLIT_MIN_OUTPUTS
+from backscatter.waveform import SPLIT_MIN_OUTPUTS
 
 
 def make_params(**overrides):
@@ -118,8 +118,7 @@ def complex_samples(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-# input lengths whose convolution with at most SPLIT_MAX_TAPS taps runs the
-# complex and the split branch
+# input lengths whose convolution runs the complex and the split branch
 BRANCH_LENGTHS = [64, SPLIT_MIN_OUTPUTS + 100]
 
 
@@ -133,19 +132,21 @@ def test_taps_convolve_matches_brute_force(n, n_taps):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n,n_taps,calls", [
-    (BRANCH_LENGTHS[0], 9, 1),
-    (BRANCH_LENGTHS[1], 9, 4),
-    (BRANCH_LENGTHS[1], SPLIT_MAX_TAPS + 1, 1),
+@pytest.mark.parametrize("n,calls", [
+    (BRANCH_LENGTHS[0], [("convolve", np.dtype(complex))]),
+    (BRANCH_LENGTHS[1], [("correlate", np.dtype(float))] * 4),
 ])
-def test_convolution_branch_choice(monkeypatch, n, n_taps, calls):
+def test_convolution_branch_choice(monkeypatch, n, calls):
     # one complex convolve, or four float64 ones on the real and imaginary parts
     seen = []
-    convolve = np.convolve
-    monkeypatch.setattr(np, "convolve", lambda a, v: seen.append(a.dtype) or convolve(a, v))
+    for name in ("convolve", "correlate"):
+        def record(a, v, *mode, _name=name, _f=getattr(np, name)):
+            seen.append((_name, a.dtype))
+            return _f(a, v, *mode)
+        monkeypatch.setattr(np, name, record)
     rng = np.random.default_rng(n)
-    taps_convolve(complex_samples(rng, n), complex_samples(rng, n_taps))
-    assert seen == [np.dtype(complex) if calls == 1 else np.dtype(float)] * calls
+    taps_convolve(complex_samples(rng, n), complex_samples(rng, 9))
+    assert seen == calls
 
 
 @pytest.mark.parametrize("n", BRANCH_LENGTHS)
