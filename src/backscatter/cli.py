@@ -34,7 +34,8 @@ class RunConfig:
     """A resolved run; its defaults are the built-in configuration.
 
     The ``int``, ``float`` and ``complex`` fields are the physical keys: each
-    is a config-file key of the same name and a field of :func:`derive_params`.
+    is a config-file key of the same name and, except ``seed`` (the root of
+    the sweep's random stream), a field of :func:`derive_params`.
     """
 
     cp_len: int = 256
@@ -208,6 +209,8 @@ def run(cfg: RunConfig) -> int:
         # sweep derives every window of w_values, and window 1 fits any geometry
         params = derive_params({**{name: getattr(cfg, name) for name in _PHYSICAL},
                                 "source_power": 1.0, "window": 1})
+        if cfg.seed < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer, got {cfg.seed}")
         records = sweep(params, cfg.snr_values, cfg.w_values, cfg.kinds, cfg.mode,
                         np.random.SeedSequence(cfg.seed))
         _write_atomic(cfg.out_path, "\n".join(_csv_lines(records)) + "\n")

@@ -52,7 +52,6 @@ class SystemParams:
     tag_gain: complex
     window: int
     trials: int
-    seed: int
 
     @property
     def max_order(self) -> int:
@@ -161,8 +160,6 @@ def derive_params(raw: Mapping[str, object]) -> SystemParams:
         raise InvalidConfig(f"tag_gain must be finite with a finite |tag_gain|**2, got {p.tag_gain}")
     if p.trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {p.trials}")
-    if p.seed < 0:
-        raise InvalidConfig(f"seed must be a non-negative integer, got {p.seed}")
     return p
 
 

@@ -79,7 +79,7 @@ def qfunc_approx(x: float) -> float:
 
 
 def _check_scales(scales: DetectionScales, window: int) -> tuple[float, float]:
-    """The (lift, floor) of valid scales for a threshold at ``window``."""
+    """The (lift, floor) of valid scales for a threshold or BER at ``window``."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     lift, floor = scales.signal_lift, scales.noise_floor
@@ -184,12 +184,8 @@ def analytic_ber(threshold: float, scales: DetectionScales, window: int) -> floa
     probability,
         1/2 + Q((t - floor) sqrt(W)/floor)/2 - Q((t - high) sqrt(W)/high)/2.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    floor = scales.noise_floor
-    if not floor > 0:
-        raise ValueError(f"noise_floor must be > 0, got {floor}")
-    high = scales.signal_lift + floor
+    lift, floor = _check_scales(scales, window)
+    high = lift + floor
     sw = math.sqrt(window)
     return (0.5 + 0.5 * qfunc((threshold - floor) * sw / floor)
             - 0.5 * qfunc((threshold - high) * sw / high))

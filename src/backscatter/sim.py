@@ -39,10 +39,8 @@ class ChannelMode(Enum):
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    true_bit: int
     decided_bit: int
     statistic: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,7 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
     cancelled = cancel_interference(rx, params)
     spectrum = dft(fold(cancelled, params))
     stat = float(energy_statistics(spectrum[: params.window], params.window)[0])
-    return TrialOutcome(true_bit=bit, decided_bit=detect(stat, threshold),
-                        statistic=stat, threshold=threshold)
+    return TrialOutcome(decided_bit=detect(stat, threshold), statistic=stat)
 
 
 def _count_errors(params: SystemParams, kind: ThresholdKind,
@@ -120,33 +117,29 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
 
 def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
                  snr_db: float, stream: np.random.SeedSequence, *,
-                 threshold_override: float | None = None,
                  workers: int = 1) -> BerRecord:
     """Empirical BER at one operating point, bits drawn equiprobably.
 
     Fixed mode draws one channel realization up front (substream 0 of the
     point), computes the threshold once and reports the matching
     Gaussian-model prediction. Redraw mode draws channels and recomputes the
-    genie threshold inside every trial and reports no prediction.
-
-    ``threshold_override`` replaces the computed threshold (useful when the
-    scales are degenerate, e.g. zero tag gain).
+    genie threshold inside every trial and reports no prediction. Scales
+    without a lift (zero tag gain) raise :class:`DegenerateScales`.
     """
     p = params_at_snr(params, snr_db)
     channels: ChannelSet | None = None
-    threshold: float | None = threshold_override
+    threshold: float | None = None
     analytic: float | None = None
     if mode is ChannelMode.FIXED_REALIZATION:
         channels = draw_channels(p, generator(substream(stream, 0)))
         scales = compute_scales(p, channels)
-        if threshold is None:
-            threshold = threshold_for(kind, scales, p.window)
+        threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
 
     n = p.trials
     blocks = (n + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     count = partial(_count_errors, p, kind, channels, threshold, stream)
-    if workers <= 1 or n < 2 * workers:
+    if workers <= 1:
         errors = count(0, blocks)
     else:
         used = min(workers, blocks)     # a worker without a block would idle

@@ -35,7 +35,7 @@ Q_APPROX_WORST_ERROR = 0.0065853   # frozen dense-grid bound, see detector tests
 def reference_params(**over):
     cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                tag_gain=0.5, noise_power=1.0, source_power=1.0, window=8,
-               trials=TRIALS, seed=1)
+               trials=TRIALS)
     cfg.update(over)
     return derive_params(cfg)
 

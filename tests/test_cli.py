@@ -101,6 +101,8 @@ def test_missing_config_file_exits_2(capsys):
     ([], "noise_power = 1e-310", "noise_power"),    # subnormal
     (["--snr", "-90"], "noise_power = 1e-300", "snr"),   # source power underflows
     (["--snr", "0:30:1e-9"], None, "snr"),          # too many SNR points
+    (["--seed", "-1"], None, "seed"),               # seeds the stream, not derive_params
+    ([], "seed = -1", "seed"),
 ])
 def test_bad_value_exits_2_naming_field(tmp_path, capsys, flags, config_line, name):
     out = tmp_path / "x.csv"
@@ -111,6 +113,17 @@ def test_bad_value_exits_2_naming_field(tmp_path, capsys, flags, config_line, na
         argv += ["--config", str(cfile)]
     assert run_cli(argv) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_from_env_or_code_exits_2(tmp_path, capsys, monkeypatch):
+    # the paths to run() that take no --seed flag
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("BACKSCATTER_SEED", "-1")
+    assert run_cli(["--trials", "10", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert run(RunConfig(seed=-1, trials=10, out_path=str(out))) == 2
+    assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 

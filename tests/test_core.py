@@ -14,7 +14,7 @@ from backscatter import (ChannelSet, InvalidConfig, derive_params, draw_channels
 def base_config(**overrides):
     cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                tag_gain=0.5, noise_power=1.0, source_power=1.0, window=8,
-               trials=1000, seed=1)
+               trials=1000)
     cfg.update(overrides)
     return cfg
 
@@ -46,7 +46,6 @@ def test_negative_block_rejected():
     ("noise_power", 5e-324),
     ("eff_len", 100),         # shorter than the prefix
     ("trials", 0),
-    ("seed", -1),
     ("direct_order", -2),
 ])
 def test_invalid_fields_rejected_by_name(field, value):

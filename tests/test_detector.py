@@ -16,7 +16,7 @@ A, B = 0.416, 0.717
 def make_params(**overrides):
     cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8,
-               trials=100, seed=1)
+               trials=100)
     cfg.update(overrides)
     return derive_params(cfg)
 
@@ -262,6 +262,11 @@ def test_thresholds_at_vanishing_lift():
         optimal_threshold(DetectionScales(1e-300, 1e30), 8)
 
 
+def analytic_ber_at_one(scales, window):
+    """analytic_ber of the threshold 1.0, shaped like a threshold function."""
+    return analytic_ber(1.0, scales, window)
+
+
 @pytest.mark.parametrize("lift,floor,name", [
     (496.0, math.inf, "noise_floor"),
     (math.inf, 496.0, "signal_lift"),
@@ -269,14 +274,16 @@ def test_thresholds_at_vanishing_lift():
     (1.5e308, 1e308, "signal_lift"),    # finite ratio, infinite high mean
 ])
 def test_thresholds_reject_overflowing_scales(lift, floor, name):
-    for threshold in (optimal_threshold, equiprobable_threshold, equiprobable_threshold_exact):
+    for threshold in (optimal_threshold, equiprobable_threshold, equiprobable_threshold_exact,
+                      analytic_ber_at_one):
         with pytest.raises(ValueError, match=name) as exc:
             threshold(DetectionScales(lift, floor), 8)
         assert exc.type is ValueError
 
 
 @pytest.mark.parametrize("threshold", [optimal_threshold, optimal_threshold_simplified,
-                                       equiprobable_threshold, equiprobable_threshold_exact])
+                                       equiprobable_threshold, equiprobable_threshold_exact,
+                                       analytic_ber_at_one])
 def test_thresholds_reject_window_zero(threshold):
     with pytest.raises(ValueError, match="window") as exc:
         threshold(DetectionScales(496.0, 496.0), 0)
@@ -303,6 +310,8 @@ def test_analytic_ber_limits_and_value():
     # threshold at the noise floor, frozen from direct tail evaluation
     assert analytic_ber(496.0, scales, 8) == pytest.approx(0.28932480176257, abs=1e-9)
     assert analytic_ber(496.0, scales, 8) == pytest.approx(0.2887, abs=1e-3)
+    with pytest.raises(DegenerateScales):       # no lift: both hypotheses coincide
+        analytic_ber(496.0, DetectionScales(0.0, 496.0), 8)
 
 
 def test_analytic_ber_bounded():

@@ -16,7 +16,7 @@ from backscatter.waveform import SPLIT_MIN_OUTPUTS
 def make_params(**overrides):
     cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8,
-               trials=100, seed=1)
+               trials=100)
     cfg.update(overrides)
     return derive_params(cfg)
 
