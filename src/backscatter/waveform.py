@@ -44,8 +44,7 @@ def _full_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     of the real and imaginary parts, ``re = xr*hr - xi*hi`` and
     ``im = xr*hi + xi*hr``, each as ``np.correlate`` with the reversed taps
     (the loop ``np.convolve`` runs, without its wrapper); below, one complex
-    convolution. Either way each output adds the taps in one fixed order, so
-    bitwise-equal input windows give bitwise-equal outputs.
+    convolution. Both keep the exactness contract in the module docstring.
     """
     n = len(x) + len(taps) - 1
     if n < SPLIT_MIN_OUTPUTS:
@@ -62,11 +61,8 @@ def _full_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def taps_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Causal FIR filter with zero pre-history, output trimmed to ``len(x)``.
 
-    Long frames run as four float64 convolutions of the real and imaginary
-    parts, short ones as one complex convolution (see :func:`_full_convolve`).
-    Either branch adds the taps in one fixed order at every output position,
-    so two positions whose input windows are bitwise identical produce
-    bitwise-identical outputs. The prefix/body cancellation relies on this.
+    Returns the first ``len(x)`` outputs of :func:`_full_convolve`, which keep
+    the exactness contract in the module docstring.
     """
     return _full_convolve(np.asarray(x, dtype=complex), np.asarray(taps, dtype=complex))[: len(x)]
 

@@ -12,32 +12,31 @@ chain. The companion diagnostic below validates the chain against the exact
 per-realization law instead, at the same operating points.
 """
 import math
+import os
+from functools import partial
 
 import numpy as np
 import pytest
 
-from backscatter import (ChannelMode, DetectionScales, FrameOrigin, SymbolFrame,
-                         ThresholdKind, analytic_ber, cancel_interference,
-                         compute_scales, derive_params, dft, draw_channels,
+from backscatter import (ChannelMode, DetectionScales, ThresholdKind, analytic_ber,
+                         cancel_interference, compute_scales, dft, draw_channels,
                          equiprobable_threshold, equiprobable_threshold_exact, fold,
-                         gen_source_symbol, generator, legacy_window,
-                         optimal_threshold, params_at_snr, qfunc, qfunc_approx,
-                         substream, sweep, synth_reader_rx, tag_gate, tag_input)
+                         generator, legacy_window, optimal_threshold, params_at_snr, qfunc,
+                         qfunc_approx, substream, sweep, tag_gate)
 from backscatter.cli import RunConfig, _csv_lines, run
+from chainkit import (chain, circulant, make_params, noise_rx, padded_taps, probe_bin_gains,
+                      reader_spectrum)
 
 TRIALS = 100_000
 SNR_GRID = [15.0, 18.0, 21.0, 24.0]
 W_GRID = [8, 10]
 W_AXIS = [2, 4, 8, 16]
 Q_APPROX_WORST_ERROR = 0.0065853   # frozen dense-grid bound, see detector tests
+# Sweep records are identical for any worker count (criterion 10), so the
+# heavy sweeps use every core.
+WORKERS = os.cpu_count() or 1
 
-
-def reference_params(**over):
-    cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
-               tag_gain=0.5, noise_power=1.0, source_power=1.0, window=8,
-               trials=TRIALS)
-    cfg.update(over)
-    return derive_params(cfg)
+reference_params = partial(make_params, source_power=1.0, trials=TRIALS)
 
 
 def report(num: int, ok: bool, detail: str) -> str:
@@ -58,7 +57,7 @@ def combined_3se(a, b):
 def fixed_sweep_records():
     params = reference_params()
     return sweep(params, SNR_GRID, W_GRID, [ThresholdKind.OPTIMAL],
-                 ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
+                 ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1), workers=WORKERS)
 
 
 def test_criterion_01_analytic_empirical_agreement_as_specified(fixed_sweep_records):
@@ -79,29 +78,6 @@ def test_criterion_01_analytic_empirical_agreement_as_specified(fixed_sweep_reco
               "and ignores the realized window lift; see the chain-vs-exact-law "
               "diagnostic, which passes at these same points.")
     assert ok, line + f" ({len(failures)} points out of tolerance)"
-
-
-def probe_bin_gains(params, channels):
-    """Exact linear map from influential source body samples to spectrum bins.
-
-    For a fixed reflecting bit the chain after the source frame is linear,
-    so single-sample probes recover the per-bin response columns. Only body
-    samples that are copied into the prefix can reach the cancelled block.
-    """
-    gate = tag_gate(params, 1)
-    cols = range(params.eff_len - params.cp_len, params.eff_len)
-    gains = np.zeros((params.block_len, len(cols)), dtype=complex)
-    for k, j in enumerate(cols):
-        body = np.zeros(params.eff_len, dtype=complex)
-        body[j] = 1.0
-        frame = np.empty(params.cp_len + params.eff_len, dtype=complex)
-        frame[params.cp_len:] = body
-        frame[: params.cp_len] = body[params.eff_len - params.cp_len:]
-        src = SymbolFrame(samples=frame, origin=FrameOrigin.SOURCE)
-        rx = synth_reader_rx(src, tag_input(src, channels.tag), gate, channels,
-                             params, rng=None)
-        gains[:, k] = dft(fold(cancel_interference(rx, params), params))
-    return gains
 
 
 def exact_model_ber(params, channels, threshold, n_model=400_000, seed=5150):
@@ -172,10 +148,10 @@ def assert_non_increasing(records, label):
 def test_criterion_02_monotonicity():
     params = reference_params()
     snr_recs = sweep(params, SNR_GRID, [8], [ThresholdKind.OPTIMAL],
-                     ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(21))
+                     ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(21), workers=WORKERS)
     ok_snr = assert_non_increasing(snr_recs, "BER vs SNR @W=8")
     w_recs = sweep(params, [20.0], W_AXIS, [ThresholdKind.OPTIMAL],
-                   ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(22))
+                   ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(22), workers=WORKERS)
     ok_w = assert_non_increasing(w_recs, "BER vs W @20dB")
     ok = ok_snr and ok_w
     assert ok, report(2, ok, "empirical BER non-increasing in SNR and in window size")
@@ -187,21 +163,12 @@ def test_criterion_02_monotonicity():
 # criteria 3-4: exact cancellation and legacy transparency
 # =====================================================================
 
-def chain_frames(params, bit, seed, noise_seed):
-    rng = np.random.default_rng(seed)
-    ch = draw_channels(params, rng)
-    src = gen_source_symbol(params, rng)
-    tagged = tag_input(src, ch.tag)
-    noise_rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
-    rx = synth_reader_rx(src, tagged, tag_gate(params, bit), ch, params, noise_rng)
-    return rx
-
-
 def test_criterion_03_cancellation_is_exact():
     params = reference_params()
     worst = 0.0
     for seed in range(100):
-        rx = chain_frames(params, 0, seed, noise_seed=None)
+        rng = np.random.default_rng(seed)
+        _, rx = chain(params, draw_channels(params, rng), 0, rng)
         worst = max(worst, float(np.max(np.abs(cancel_interference(rx, params)))))
     ok = worst == 0.0
     assert ok, report(3, ok, f"silent-tag noiseless residue max |z| = {worst}")
@@ -213,9 +180,13 @@ def test_criterion_04_legacy_transparency():
     params = reference_params()
     ok = True
     for seed in range(100):
-        y0 = chain_frames(params, 0, seed, noise_seed=10_000 + seed)
-        y1 = chain_frames(params, 1, seed, noise_seed=10_000 + seed)
-        if not np.array_equal(legacy_window(y0, params), legacy_window(y1, params)):
+        windows = []
+        for bit in (0, 1):
+            rng = np.random.default_rng(seed)
+            _, rx = chain(params, draw_channels(params, rng), bit, rng,
+                          np.random.default_rng(10_000 + seed))
+            windows.append(legacy_window(rx, params))
+        if not np.array_equal(*windows):
             ok = False
             break
     assert ok, report(4, ok, "legacy window changed with the tag bit")
@@ -227,28 +198,17 @@ def test_criterion_04_legacy_transparency():
 # criterion 5: fold equals circular convolution
 # =====================================================================
 
-def circulant_matrix(col):
-    n = len(col)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return col[idx]
-
-
 def test_criterion_05_fold_is_circular_convolution():
     params = reference_params()
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         ch = draw_channels(params, rng)
-        src = gen_source_symbol(params, rng)
-        tagged = tag_input(src, ch.tag)
-        gate = tag_gate(params, 1)
-        rx = synth_reader_rx(src, tagged, gate, ch, params, rng=None)
+        tagged, rx = chain(params, ch, 1, rng)
         folded = fold(cancel_interference(rx, params), params)
-        block = (gate.gate * tagged.samples)[params.max_order:
-                                             params.max_order + params.block_len]
-        padded = np.zeros(params.block_len, dtype=complex)
-        padded[: params.reflect_order + 1] = params.tag_gain * ch.reflect
-        oracle = circulant_matrix(padded) @ block
+        q = params.max_order
+        block = (tag_gate(params, 1).gate * tagged.samples)[q: q + params.block_len]
+        oracle = circulant(padded_taps(params.tag_gain * ch.reflect, params.block_len)) @ block
         worst = max(worst, float(np.linalg.norm(folded - oracle)
                                  / np.linalg.norm(oracle)))
     ok = worst <= 1e-10
@@ -270,9 +230,8 @@ def test_criterion_06_circulant_diagonalization():
     for _ in range(100):
         taps = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / np.sqrt(2)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        col = np.zeros(n, dtype=complex)
-        col[:9] = taps
-        lhs = dft(circulant_matrix(col) @ x)
+        col = padded_taps(taps, n)
+        lhs = dft(circulant(col) @ x)
         rhs = dft(col) * dft(x)
         worst_diag = max(worst_diag, float(np.linalg.norm(lhs - rhs)
                                            / np.linalg.norm(lhs)))
@@ -305,15 +264,10 @@ def test_criterion_07_noise_power_identity():
 
     params = reference_params()
     trials = 100_000
-    length = params.cp_len + params.eff_len
     noise_rng = np.random.default_rng(771)
     total = 0.0
-    q, c, n = params.max_order, params.cp_len, params.eff_len
     for _ in range(trials):
-        noise = (noise_rng.standard_normal(length) + 1j * noise_rng.standard_normal(length)) \
-            * np.sqrt(params.noise_power / 2)
-        z = noise[q:c] - noise[n + q: n + c]
-        total += float(np.mean(np.abs(dft(fold(z, params))) ** 2))
+        total += float(np.mean(np.abs(reader_spectrum(params, noise_rx(params, noise_rng))) ** 2))
     mean_energy = total / trials
     want = 2 * params.cancel_len * params.noise_power
     sigma = (np.sqrt(4 * (params.block_len + 3 * params.reflect_order))

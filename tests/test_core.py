@@ -1,6 +1,7 @@
 """Parameter derivation, validation and channel-draw statistics."""
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,14 +10,9 @@ from hypothesis import strategies as st
 
 from backscatter import (ChannelSet, InvalidConfig, derive_params, draw_channels,
                          generator, params_at_snr, params_to_map, substream)
+from chainkit import config
 
-
-def base_config(**overrides):
-    cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
-               tag_gain=0.5, noise_power=1.0, source_power=1.0, window=8,
-               trials=1000)
-    cfg.update(overrides)
-    return cfg
+base_config = partial(config, source_power=1.0, trials=1000)
 
 
 def test_default_geometry():

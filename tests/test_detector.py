@@ -5,20 +5,13 @@ import numpy as np
 import pytest
 
 from backscatter import (ChannelSet, DegenerateScales, DetectionScales, DomainError,
-                         ThresholdKind, analytic_ber, compute_scales, derive_params,
-                         detect, equiprobable_threshold, equiprobable_threshold_exact,
+                         ThresholdKind, analytic_ber, compute_scales, detect,
+                         equiprobable_threshold, equiprobable_threshold_exact,
                          optimal_threshold, optimal_threshold_simplified, qfunc,
                          qfunc_approx, threshold_for)
+from chainkit import make_params
 
 A, B = 0.416, 0.717
-
-
-def make_params(**overrides):
-    cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
-               tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8,
-               trials=100)
-    cfg.update(overrides)
-    return derive_params(cfg)
 
 
 def gaussian_tail_oracle(x, span=14.0, steps=20000):

@@ -7,27 +7,10 @@ diagonalizes it. Both facts are checked against brute-force oracles.
 import numpy as np
 import pytest
 
-from backscatter import (cancel_interference, derive_params, dft, draw_channels,
-                         energy_statistics, fold, gen_source_symbol, synth_reader_rx,
-                         tag_gate, tag_input)
-
-
-def make_params(**overrides):
-    cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
-               tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8,
-               trials=100)
-    cfg.update(overrides)
-    return derive_params(cfg)
-
-
-def receive(p, bit, seed, noise_seed=None, channels=None):
-    rng = np.random.default_rng(seed)
-    ch = channels if channels is not None else draw_channels(p, rng)
-    src = gen_source_symbol(p, rng)
-    tagged = tag_input(src, ch.tag)
-    noise_rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
-    rx = synth_reader_rx(src, tagged, tag_gate(p, bit), ch, p, noise_rng)
-    return src, tagged, ch, rx
+from backscatter import (cancel_interference, dft, draw_channels, energy_statistics, fold,
+                         tag_gate)
+from chainkit import (SHORT, chain, circulant, make_params, noise_rx, padded_taps,
+                      reader_spectrum)
 
 
 def circular_convolve(a, b):
@@ -40,44 +23,32 @@ def circular_convolve(a, b):
     return out
 
 
-def padded_taps(taps, n):
-    """Tap vector zero-padded to length n (a circulant's first column)."""
-    out = np.zeros(n, dtype=complex)
-    out[: len(taps)] = taps
-    return out
-
-
-def circulant_from_column(col):
-    n = len(col)
-    return np.array([[col[(i - j) % n] for j in range(n)] for i in range(n)])
-
-
 # ------------------------------------------------------------- cancellation
 
 # The reference geometry runs the frame-length convolutions on the real-part
 # split; the short one (128-sample frames) runs them as complex convolutions.
-@pytest.mark.parametrize("geometry", [
-    {},
-    dict(cp_len=64, eff_len=64, direct_order=4, tag_order=4, reflect_order=4, window=4),
-], ids=["reference", "short"])
+@pytest.mark.parametrize("geometry", [{}, SHORT], ids=["reference", "short"])
 def test_silent_tag_cancels_exactly(geometry):
     p = make_params(**geometry)
     for seed in range(10):
-        _, _, _, rx = receive(p, 0, seed)
-        z = cancel_interference(rx, p)
-        assert np.max(np.abs(z)) == 0.0
+        rng = np.random.default_rng(seed)
+        _, rx = chain(p, draw_channels(p, rng), 0, rng)
+        assert np.max(np.abs(cancel_interference(rx, p))) == 0.0
 
 
 def test_cancelled_length():
     p = make_params()
-    _, _, _, rx = receive(p, 1, 0)
+    rng = np.random.default_rng(0)
+    _, rx = chain(p, draw_channels(p, rng), 1, rng)
     assert len(cancel_interference(rx, p)) == p.cancel_len == 248
 
 
 def test_reflecting_tag_leaves_gated_tap_convolution():
     # noiseless, bit 1: the residue is the reflect filter run over the gated input
     p = make_params()
-    _, tagged, ch, rx = receive(p, 1, 3)
+    rng = np.random.default_rng(3)
+    ch = draw_channels(p, rng)
+    tagged, rx = chain(p, ch, 1, rng)
     z = cancel_interference(rx, p)
     gated = tag_gate(p, 1).gate * tagged.samples
     want = np.zeros(p.cancel_len, dtype=complex)
@@ -111,7 +82,9 @@ def test_fold_equals_circular_convolution():
     # reflect taps with the gated block
     p = make_params(cp_len=48, eff_len=64, window=2)
     for seed in range(5):
-        _, tagged, ch, rx = receive(p, 1, seed)
+        rng = np.random.default_rng(seed)
+        ch = draw_channels(p, rng)
+        tagged, rx = chain(p, ch, 1, rng)
         folded = fold(cancel_interference(rx, p), p)
         block = (tag_gate(p, 1).gate * tagged.samples)[p.max_order: p.max_order + p.block_len]
         want = p.tag_gain * circular_convolve(padded_taps(ch.reflect, p.block_len), block)
@@ -159,7 +132,7 @@ def test_circulant_diagonalization():
         taps = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / np.sqrt(2)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         col = padded_taps(taps, n)
-        lhs = dft(circulant_from_column(col) @ x)
+        lhs = dft(circulant(col) @ x)
         rhs = dft(col) * dft(x)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(lhs)
 
@@ -229,14 +202,9 @@ def test_folded_noise_spectrum_power():
     p = make_params()
     rng = np.random.default_rng(11)
     trials = 4000
-    length = p.cp_len + p.eff_len
     total = 0.0
     for _ in range(trials):
-        noise = (rng.standard_normal(length)
-                 + 1j * rng.standard_normal(length)) * np.sqrt(p.noise_power / 2)
-        z = noise[p.max_order: p.cp_len] - noise[p.eff_len + p.max_order: p.eff_len + p.cp_len]
-        spectrum = dft(fold(z, p))
-        total += np.mean(np.abs(spectrum) ** 2)
+        total += np.mean(np.abs(reader_spectrum(p, noise_rx(p, rng))) ** 2)
     mean_energy = total / trials
     want = 2 * p.cancel_len * p.noise_power
     # per-symbol bin-mean variance: 4 nw^2 (block_len + 3 reflect_order)

@@ -7,32 +7,18 @@ Gamma-distributed with integer shape. Where the Gaussian model is a known
 idealization the tests document the gap instead of hiding it.
 """
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from backscatter import (ChannelMode, FrameOrigin, InvalidConfig, SymbolFrame,
-                         ThresholdKind, cancel_interference, compute_scales, derive_params, dft,
-                         draw_channels, estimate_ber, fold, generator, params_at_snr,
-                         run_trial, substream, sweep, tag_gate, tag_input,
-                         synth_reader_rx, threshold_for)
+from backscatter import (ChannelMode, InvalidConfig, ThresholdKind, compute_scales,
+                         draw_channels, energy_statistics, estimate_ber, generator,
+                         params_at_snr, run_trial, substream, sweep, threshold_for)
 from backscatter.sim import TRIAL_BLOCK
+from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
 
-
-def make_params(**overrides):
-    cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
-               tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8,
-               trials=100)
-    cfg.update(overrides)
-    return derive_params(cfg)
-
-
-def small_params(**overrides):
-    cfg = dict(cp_len=64, eff_len=64, direct_order=4, tag_order=4, reflect_order=4,
-               tag_gain=0.5, noise_power=1.0, source_power=2.0, window=4,
-               trials=100)
-    cfg.update(overrides)
-    return derive_params(cfg)
+small_params = partial(make_params, **SHORT)
 
 
 def gamma_survival(shape, mean, x):
@@ -88,30 +74,22 @@ def test_silent_link_statistic_follows_exact_noise_law():
     assert abs(0.5 - p_exact) > 8 * sigma
 
 
+def test_kit_chain_is_run_trial_chain():
+    # the tests' shared chain and spectrum, fed the same generator state,
+    # give run_trial's statistic bit for bit
+    for p in (make_params(), small_params()):
+        ch = draw_channels(p, np.random.default_rng(31))
+        for bit in (0, 1):
+            want = run_trial(p, ch, bit, 1.0, np.random.default_rng(32)).statistic
+            rng = np.random.default_rng(32)
+            _, rx = chain(p, ch, bit, rng, rng)
+            assert energy_statistics(reader_spectrum(p, rx), p.window)[0] == want
+
+
 # ------------------------------------------------------------- spectral statistics
 
-def probe_bin_gains(p, channels):
-    """Linear response of each spectrum bin to each source body sample.
-
-    The chain downstream of the source frame is linear for a fixed bit, so
-    probing one body sample at a time yields the exact per-bin variance map
-    without any model assumptions.
-    """
-    gains = np.zeros((p.block_len, p.eff_len), dtype=complex)
-    gate = tag_gate(p, 1)
-    for j in range(p.eff_len):
-        body = np.zeros(p.eff_len, dtype=complex)
-        body[j] = 1.0
-        frame = np.empty(p.cp_len + p.eff_len, dtype=complex)
-        frame[p.cp_len:] = body
-        frame[: p.cp_len] = body[p.eff_len - p.cp_len:]
-        src = SymbolFrame(samples=frame, origin=FrameOrigin.SOURCE)
-        rx = synth_reader_rx(src, tag_input(src, channels.tag), gate, channels, p, rng=None)
-        gains[:, j] = dft(fold(cancel_interference(rx, p), p))
-    return gains
-
-
 def test_per_bin_spectrum_energy_matches_linear_probe_oracle():
+    # at this geometry cp_len == eff_len, so the probe spans every body sample
     p = small_params()
     ch = draw_channels(p, np.random.default_rng(8))
     gains = probe_bin_gains(p, ch)
@@ -122,20 +100,13 @@ def test_per_bin_spectrum_energy_matches_linear_probe_oracle():
     root = np.random.SeedSequence(99)
     for t in range(trials):
         rng = generator(substream(root, t))
-        out_spec = run_trial_spectrum(p, ch, rng)
-        acc += np.abs(out_spec) ** 2
+        _, rx = chain(p, ch, 1, rng, rng)
+        acc += np.abs(reader_spectrum(p, rx)) ** 2
     measured = acc / trials
     # each |bin|^2 is exponential with mean sigma_n^2, so the trial-mean
     # scatter is sigma_n^2 / sqrt(trials); allow 4.5 sigma across all bins
     tol = 4.5 * predicted / math.sqrt(trials)
     assert np.all(np.abs(measured - predicted) < tol)
-
-
-def run_trial_spectrum(p, ch, rng):
-    from backscatter import gen_source_symbol
-    src = gen_source_symbol(p, rng)
-    rx = synth_reader_rx(src, tag_input(src, ch.tag), tag_gate(p, 1), ch, p, rng)
-    return dft(fold(cancel_interference(rx, p), p))
 
 
 def test_statistic_moments_noise_only():

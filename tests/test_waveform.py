@@ -7,18 +7,11 @@ and the synthesis is built so they survive floating point unchanged.
 import numpy as np
 import pytest
 
-from backscatter import (ChannelSet, FrameOrigin, GateSequence, derive_params, draw_channels,
+from backscatter import (ChannelSet, FrameOrigin, GateSequence, draw_channels,
                          gen_source_symbol, legacy_window, synth_reader_rx, tag_gate,
                          tag_input, taps_convolve)
 from backscatter.waveform import SPLIT_MIN_OUTPUTS
-
-
-def make_params(**overrides):
-    cfg = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
-               tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8,
-               trials=100)
-    cfg.update(overrides)
-    return derive_params(cfg)
+from chainkit import chain, make_params
 
 
 def brute_force_convolve(x, taps):
@@ -270,16 +263,10 @@ def test_gate_span_reflection_matches_full_frame_formula(seed):
 
 # ---------------------------------------------------------------- legacy receiver
 
-def run_chain(p, bit, src_rng, ch, noise_seed):
-    src = gen_source_symbol(p, src_rng)
-    tagged = tag_input(src, ch.tag)
-    rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
-    return synth_reader_rx(src, tagged, tag_gate(p, bit), ch, p, rng)
-
-
 def test_legacy_window_length():
     p = make_params()
-    y = run_chain(p, 1, np.random.default_rng(1), draw_channels(p, np.random.default_rng(2)), 5)
+    _, y = chain(p, draw_channels(p, np.random.default_rng(2)), 1, np.random.default_rng(1),
+                 np.random.default_rng(5))
     assert len(legacy_window(y, p)) == p.eff_len
 
 
@@ -288,8 +275,8 @@ def test_legacy_window_blind_to_tag_bit():
     p = make_params()
     for seed in range(5):
         ch = draw_channels(p, np.random.default_rng(100 + seed))
-        y0 = run_chain(p, 0, np.random.default_rng(seed), ch, noise_seed=200 + seed)
-        y1 = run_chain(p, 1, np.random.default_rng(seed), ch, noise_seed=200 + seed)
+        _, y0 = chain(p, ch, 0, np.random.default_rng(seed), np.random.default_rng(200 + seed))
+        _, y1 = chain(p, ch, 1, np.random.default_rng(seed), np.random.default_rng(200 + seed))
         assert np.array_equal(legacy_window(y0, p), legacy_window(y1, p))
 
 
@@ -299,7 +286,7 @@ def test_reflection_confined_to_interior_prefix():
     rng = np.random.default_rng(21)
     ch = draw_channels(p, rng)
     muted = ChannelSet(direct=np.zeros_like(ch.direct), tag=ch.tag, reflect=ch.reflect)
-    y = run_chain(p, 1, rng, muted, noise_seed=None).samples
+    y = chain(p, muted, 1, rng)[1].samples
     assert np.all(y[: p.max_order] == 0)
     assert np.all(y[p.cp_len:] == 0)
     assert np.any(y[p.max_order: p.cp_len] != 0)
@@ -310,6 +297,6 @@ def test_direct_path_repeats_across_prefix_and_body_tail():
     p = make_params()
     rng = np.random.default_rng(22)
     ch = draw_channels(p, rng)
-    y = run_chain(p, 0, rng, ch, noise_seed=None).samples
+    y = chain(p, ch, 0, rng)[1].samples
     q, c, n = p.max_order, p.cp_len, p.eff_len
     assert np.array_equal(y[q:c], y[n + q: n + c])
