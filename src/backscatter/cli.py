@@ -8,6 +8,7 @@ standard output.
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -183,12 +184,24 @@ def _csv_lines(records: list[BerRecord]) -> list[str]:
     return lines
 
 
+def _file_mode(path: str) -> int:
+    """Permission bits ``path`` keeps, or gets as ``open(path, "w")`` would create it."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)     # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".ber-", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            # mkstemp creates the file 0600
+            os.fchmod(fh.fileno(), _file_mode(path))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -35,7 +36,8 @@ class SystemParams:
     tag-to-reader paths. ``max_order`` is their maximum and marks the first
     prefix sample free of inter-path memory.
 
-    Derived lengths:
+    Derived lengths (computed on first use and kept, since the fields are
+    frozen; :func:`dataclasses.replace` builds a fresh instance):
       cancel_len  samples that survive the prefix/body subtraction,
                   ``cp_len - max_order``
       block_len   samples kept after folding the convolution tail back onto
@@ -53,15 +55,15 @@ class SystemParams:
     window: int
     trials: int
 
-    @property
+    @cached_property
     def max_order(self) -> int:
         return max(self.direct_order, self.tag_order, self.reflect_order)
 
-    @property
+    @cached_property
     def cancel_len(self) -> int:
         return self.cp_len - self.max_order
 
-    @property
+    @cached_property
     def block_len(self) -> int:
         return self.cancel_len - self.reflect_order
 
@@ -189,13 +191,13 @@ def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelSet:
 
     Real and imaginary parts of each tap carry variance 1/2 so that the
     per-tap power is exactly one. Draw order is direct, tag, reflect, so a
-    fixed generator state reproduces the same realization.
+    fixed generator state reproduces the same realization. The taps are one
+    draw, sliced: bit for bit the three draws in that order.
     """
-    return ChannelSet(
-        direct=complex_normal(rng, params.direct_order + 1, 1.0),
-        tag=complex_normal(rng, params.tag_order + 1, 1.0),
-        reflect=complex_normal(rng, params.reflect_order + 1, 1.0),
-    )
+    d = params.direct_order + 1
+    t = d + params.tag_order + 1
+    taps = complex_normal(rng, t + params.reflect_order + 1, 1.0)
+    return ChannelSet(direct=taps[:d], tag=taps[d:t], reflect=taps[t:])
 
 
 def substream(seq: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:

@@ -58,8 +58,8 @@ def compute_scales(params: SystemParams, channels: ChannelSet) -> DetectionScale
     subtracts two independent noisy windows, and counts ``cancel_len``
     samples because folding conserves total noise energy.
     """
-    tag_energy = float(np.sum(np.abs(channels.tag) ** 2))
-    reflect_energy = float(np.sum(np.abs(channels.reflect) ** 2))
+    tag_energy = float(np.add.reduce(np.abs(channels.tag) ** 2))
+    reflect_energy = float(np.add.reduce(np.abs(channels.reflect) ** 2))
     lift = (params.block_len * abs(params.tag_gain) ** 2 * params.source_power
             * tag_energy * reflect_energy)
     floor = 2.0 * params.cancel_len * params.noise_power

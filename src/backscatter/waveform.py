@@ -16,6 +16,7 @@ convolution. Both branches keep the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +29,12 @@ class GateSequence:
 
     gate: np.ndarray
     bit: int
+
+    @cached_property
+    def _span(self) -> tuple[int, int]:
+        """First nonzero sample and one past the last; ``(0, 0)`` when closed."""
+        open_at = self.gate.nonzero()[0]
+        return (int(open_at[0]), int(open_at[-1]) + 1) if open_at.size else (0, 0)
 
 
 # Full convolutions of at least this many outputs split into real parts: one
@@ -87,12 +94,23 @@ def tag_gate(params: SystemParams, bit: int) -> GateSequence:
 
     For bit 1 the gate is one on ``[max_order, cp_len - reflect_order - 1]``
     (``block_len`` samples) and zero elsewhere; for bit 0 it is all zero.
+    The gate is shared between calls with the same frame length, open window
+    and bit, so its array is read-only.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    gate = np.zeros(params.cp_len + params.eff_len)
+    return _gate(params.cp_len + params.eff_len, params.max_order,
+                 params.cp_len - params.reflect_order, int(bit))
+
+
+# Keyed on the gate's own inputs: the SystemParams of a sweep differ in
+# source_power at every SNR point while the gate stays the same.
+@lru_cache(maxsize=64)
+def _gate(length: int, lo: int, hi: int, bit: int) -> GateSequence:
+    gate = np.zeros(length)
     if bit:
-        gate[params.max_order: params.cp_len - params.reflect_order] = 1.0
+        gate[lo:hi] = 1.0
+    gate.flags.writeable = False
     return GateSequence(gate=gate, bit=bit)
 
 
@@ -121,9 +139,8 @@ def synth_reader_rx(source: SymbolFrame, tag_in: SymbolFrame, gate: GateSequence
     if source.origin is not FrameOrigin.SOURCE or tag_in.origin is not FrameOrigin.TAG_INPUT:
         raise ValueError("synth_reader_rx needs a source frame and a tag-input frame")
     y = taps_convolve(source.samples, channels.direct)
-    open_at = gate.gate.nonzero()[0]
-    if open_at.size:
-        lo, hi = open_at[0], open_at[-1] + 1
+    lo, hi = gate._span
+    if hi:
         reflected = _full_convolve(gate.gate[lo:hi] * tag_in.samples[lo:hi], channels.reflect)
         stop = min(lo + len(reflected), len(y))
         y[lo:stop] += params.tag_gain * reflected[: stop - lo]

@@ -1,5 +1,7 @@
 """Command-line surface: config precedence, CSV contract, exit codes."""
 import math
+import os
+import stat
 
 import pytest
 
@@ -224,6 +226,28 @@ def test_unwritable_output_exits_1_without_file(tmp_path, capsys):
     assert run(cfg) == 1
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+def run_under_umask(cfg, umask):
+    old = os.umask(umask)
+    try:
+        return run(cfg)
+    finally:
+        os.umask(old)
+
+
+def test_new_csv_gets_the_mode_open_would_give(tmp_path):
+    assert run_under_umask(small_cfg(tmp_path), 0o027) == 0
+    assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == 0o640
+
+
+def test_overwritten_csv_keeps_its_mode(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert run_under_umask(small_cfg(tmp_path), 0o022) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert len(read_rows(out)) == 1
 
 
 def test_main_end_to_end(tmp_path, capsys, monkeypatch):

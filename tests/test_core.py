@@ -1,5 +1,7 @@
 """Parameter derivation, validation and channel-draw statistics."""
+import dataclasses
 import math
+import pickle
 import sys
 from functools import partial
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from backscatter import (ChannelSet, InvalidConfig, derive_params, draw_channels,
                          generator, params_at_snr, params_to_map, substream)
+from backscatter.core import complex_normal
 from chainkit import config
 
 base_config = partial(config, source_power=1.0, trials=1000)
@@ -20,6 +23,28 @@ def test_default_geometry():
     assert p.max_order == 8
     assert p.cancel_len == 248   # one past the last usable offset: 256 - 8
     assert p.block_len == 240    # 248 - 8
+
+
+@pytest.mark.parametrize("name,value", [
+    ("cp_len", 200), ("direct_order", 12), ("tag_order", 11), ("reflect_order", 3)])
+def test_derived_lengths_follow_replace(name, value):
+    p = derive_params(base_config())
+    assert (p.max_order, p.cancel_len, p.block_len) == (8, 248, 240)   # cached before the replace
+    q = dataclasses.replace(p, **{name: value})
+    max_order = max(q.direct_order, q.tag_order, q.reflect_order)
+    assert q.max_order == max_order
+    assert q.cancel_len == q.cp_len - max_order
+    assert q.block_len == q.cp_len - max_order - q.reflect_order
+
+
+@pytest.mark.parametrize("used", [False, True])
+def test_params_survive_pickle_with_their_lengths(used):
+    p = derive_params(base_config(direct_order=3, tag_order=8, reflect_order=5))
+    if used:
+        assert p.block_len == 243
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p
+    assert (q.max_order, q.cancel_len, q.block_len) == (8, 248, 243)
 
 
 def test_max_order_is_max_of_three():
@@ -145,6 +170,18 @@ def test_channel_draw_reproducible():
     assert np.array_equal(a.direct, b.direct)
     assert np.array_equal(a.tag, b.tag)
     assert np.array_equal(a.reflect, b.reflect)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64])
+def test_channel_draw_is_the_three_draws_bit_for_bit(bit_generator):
+    # one fill sliced three ways: the direct, tag and reflect draws in order,
+    # leaving the generator where the three draws leave it
+    p = derive_params(base_config(direct_order=3, tag_order=8, reflect_order=5))
+    one, three = (np.random.Generator(bit_generator(61)) for _ in range(2))
+    ch = draw_channels(p, one)
+    for taps, n in ((ch.direct, 4), (ch.tag, 9), (ch.reflect, 6)):
+        assert taps.tobytes() == complex_normal(three, n, 1.0).tobytes()
+    assert one.standard_normal(3).tobytes() == three.standard_normal(3).tobytes()
 
 
 def test_channel_moments():

@@ -262,8 +262,9 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_trial_streams_are_keyed_per_block(mode):
-    # replay the documented layout: trial t of a point draws, in order, from
-    # generator(substream(point, 1, t // TRIAL_BLOCK)); channels from (point, 0)
+    # replay the documented layout: trial t of a point draws, in order, from an
+    # SFC64 generator on substream(point, 1, t // TRIAL_BLOCK); channels from
+    # generator(substream(point, 0))
     p = small_params(trials=TRIAL_BLOCK + 9)
     q = params_at_snr(p, 8.0)
     point = np.random.SeedSequence(23)
@@ -274,7 +275,7 @@ def test_trial_streams_are_keyed_per_block(mode):
     errors = 0
     for t in range(q.trials):
         if t % TRIAL_BLOCK == 0:
-            rng = generator(substream(point, 1, t // TRIAL_BLOCK))
+            rng = np.random.Generator(np.random.SFC64(substream(point, 1, t // TRIAL_BLOCK)))
         bit = int(rng.integers(0, 2))
         if mode is ChannelMode.REDRAW_PER_TRIAL:
             ch = draw_channels(q, rng)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from backscatter import (ChannelSet, FrameOrigin, GateSequence, draw_channels,
-                         gen_source_symbol, legacy_window, synth_reader_rx, tag_gate,
-                         tag_input, taps_convolve)
+                         gen_source_symbol, legacy_window, params_at_snr, synth_reader_rx,
+                         tag_gate, tag_input, taps_convolve)
 from backscatter.waveform import SPLIT_MIN_OUTPUTS
 from chainkit import chain, make_params
 
@@ -70,6 +70,19 @@ def test_gate_closes_before_prefix_end():
     idx = p.cp_len - p.reflect_order
     assert tag_gate(p, 0).gate[idx] == 0
     assert tag_gate(p, 1).gate[idx] == 0
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_gate_is_shared_and_read_only(bit):
+    p = make_params()
+    g = tag_gate(p, bit)
+    fresh = np.zeros(p.cp_len + p.eff_len)
+    fresh[p.max_order: p.cp_len - p.reflect_order] = bit
+    assert np.array_equal(g.gate, fresh) and g.bit == bit
+    # the next SNR point changes source_power, not the gate
+    assert tag_gate(params_at_snr(p, 3.0), bit) is g
+    with pytest.raises(ValueError):
+        g.gate[p.max_order] = 0.5
 
 
 def test_gate_rejects_other_symbols():
