@@ -49,14 +49,13 @@ def dft(v: np.ndarray) -> np.ndarray:
     return np.fft.fft(v)
 
 
-def energy_statistics(spectrum: np.ndarray, window: int) -> np.ndarray:
-    """Mean squared magnitude over consecutive groups of ``window`` bins.
+def energy_statistics(spectrum: np.ndarray, window: int) -> float:
+    """Mean squared magnitude of the first ``window`` bins.
 
-    Groups start at bin 0 and do not overlap; leftover bins past the last
-    full group are discarded. Returns ``len(spectrum) // window`` values.
+    Each square is divided by ``window`` before the sum, so the sum cannot
+    overflow where the mean is finite; for a power-of-two window the division
+    is exact and the result equals the sum divided by ``window``.
     """
     if not 1 <= window <= len(spectrum):
         raise ValueError(f"window must satisfy 1 <= window <= {len(spectrum)}, got {window}")
-    groups = len(spectrum) // window
-    energy = np.abs(spectrum[: groups * window]) ** 2
-    return np.add.reduce(energy.reshape(groups, window), axis=1) / window
+    return float(np.add.reduce(np.abs(spectrum[:window]) ** 2 / window))

@@ -91,7 +91,7 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
     rx = synth_reader_rx(source, tagged, gate, channels, params, rng)
     cancelled = cancel_interference(rx, params)
     spectrum = dft(fold(cancelled, params))
-    stat = float(energy_statistics(spectrum[: params.window], params.window)[0])
+    stat = energy_statistics(spectrum, params.window)
     return TrialOutcome(decided_bit=detect(stat, threshold), statistic=stat)
 
 

@@ -1,10 +1,10 @@
 """Source symbol synthesis, tag gating and the reader's received samples.
 
 The tag never generates a carrier: it either reflects the incident samples
-or stays silent. The gate confines reflection to the prefix interval
-``[max_order, cp_len - reflect_order - 1]`` so that, after the reflect-path
+or stays silent. For bit 1 its gate is the prefix interval
+``[max_order, cp_len - reflect_order)``, so that, after the reflect-path
 spread, backscatter energy stays inside the prefix and legacy receivers
-(which drop the prefix) see nothing of it.
+(which drop the prefix) see nothing of it; for bit 0 the gate is empty.
 
 Exactness contract: every convolution here adds the taps in one fixed order
 at every output position, so two positions whose input windows are bitwise
@@ -16,7 +16,6 @@ convolution. Both branches keep the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,16 +24,27 @@ from .core import ChannelSet, FrameOrigin, SymbolFrame, SystemParams, complex_no
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Per-sample 0/1 reflection gate for one symbol period, carrying one bit."""
+    """Reflection gate for one symbol period of ``length`` samples.
 
-    gate: np.ndarray
-    bit: int
+    The tag reflects on samples ``[start, stop)`` and is silent elsewhere;
+    the gate is closed when ``start == stop``.
+    """
 
-    @cached_property
-    def _span(self) -> tuple[int, int]:
-        """First nonzero sample and one past the last; ``(0, 0)`` when closed."""
-        open_at = self.gate.nonzero()[0]
-        return (int(open_at[0]), int(open_at[-1]) + 1) if open_at.size else (0, 0)
+    length: int
+    start: int
+    stop: int
+
+    @property
+    def bit(self) -> int:
+        """The bit the gate carries: 1 when it opens at all."""
+        return int(self.stop > self.start)
+
+    @property
+    def gate(self) -> np.ndarray:
+        """The per-sample 0/1 gate, built on each access."""
+        gate = np.zeros(self.length)
+        gate[self.start: self.stop] = 1.0
+        return gate
 
 
 # Full convolutions of at least this many outputs split into real parts: one
@@ -92,26 +102,14 @@ def gen_source_symbol(params: SystemParams, rng: np.random.Generator) -> SymbolF
 def tag_gate(params: SystemParams, bit: int) -> GateSequence:
     """Reflection gate for ``bit``: open on the interior prefix window only.
 
-    For bit 1 the gate is one on ``[max_order, cp_len - reflect_order - 1]``
-    (``block_len`` samples) and zero elsewhere; for bit 0 it is all zero.
-    The gate is shared between calls with the same frame length, open window
-    and bit, so its array is read-only.
+    For bit 1 the gate is the interval ``[max_order, cp_len - reflect_order)``
+    (``block_len`` samples); for bit 0 it is empty.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return _gate(params.cp_len + params.eff_len, params.max_order,
-                 params.cp_len - params.reflect_order, int(bit))
-
-
-# Keyed on the gate's own inputs: the SystemParams of a sweep differ in
-# source_power at every SNR point while the gate stays the same.
-@lru_cache(maxsize=64)
-def _gate(length: int, lo: int, hi: int, bit: int) -> GateSequence:
-    gate = np.zeros(length)
-    if bit:
-        gate[lo:hi] = 1.0
-    gate.flags.writeable = False
-    return GateSequence(gate=gate, bit=bit)
+    start = params.max_order
+    stop = params.cp_len - params.reflect_order if bit else start
+    return GateSequence(params.cp_len + params.eff_len, start, stop)
 
 
 def tag_input(source: SymbolFrame, tag_taps: np.ndarray) -> SymbolFrame:
@@ -131,17 +129,17 @@ def synth_reader_rx(source: SymbolFrame, tag_in: SymbolFrame, gate: GateSequence
     white noise of power ``noise_power``. Pass ``rng=None`` for a noiseless
     frame (diagnostics and exactness tests).
 
-    The reflection is zero outside the gate's open span plus the reflect-path
-    spread, so only that span is convolved and added, clipped at the frame
-    end; a closed gate adds nothing. The direct path is filtered over the
-    whole frame, which keeps the prefix/body cancellation exact.
+    The reflection is zero outside the gate's interval plus the reflect-path
+    spread, so only the tag input on the interval is convolved and added,
+    clipped at the frame end; a closed gate adds nothing. The direct path is
+    filtered over the whole frame, which keeps prefix/body cancellation exact.
     """
     if source.origin is not FrameOrigin.SOURCE or tag_in.origin is not FrameOrigin.TAG_INPUT:
         raise ValueError("synth_reader_rx needs a source frame and a tag-input frame")
     y = taps_convolve(source.samples, channels.direct)
-    lo, hi = gate._span
-    if hi:
-        reflected = _full_convolve(gate.gate[lo:hi] * tag_in.samples[lo:hi], channels.reflect)
+    lo, hi = gate.start, gate.stop
+    if hi > lo:
+        reflected = _full_convolve(tag_in.samples[lo:hi], channels.reflect)
         stop = min(lo + len(reflected), len(y))
         y[lo:stop] += params.tag_gain * reflected[: stop - lo]
     if rng is not None:

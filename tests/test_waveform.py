@@ -73,16 +73,14 @@ def test_gate_closes_before_prefix_end():
 
 
 @pytest.mark.parametrize("bit", [0, 1])
-def test_gate_is_shared_and_read_only(bit):
+def test_gate_is_its_interval(bit):
     p = make_params()
     g = tag_gate(p, bit)
     fresh = np.zeros(p.cp_len + p.eff_len)
     fresh[p.max_order: p.cp_len - p.reflect_order] = bit
     assert np.array_equal(g.gate, fresh) and g.bit == bit
     # the next SNR point changes source_power, not the gate
-    assert tag_gate(params_at_snr(p, 3.0), bit) is g
-    with pytest.raises(ValueError):
-        g.gate[p.max_order] = 0.5
+    assert tag_gate(params_at_snr(p, 3.0), bit) == g
 
 
 def test_gate_rejects_other_symbols():
@@ -240,14 +238,9 @@ def test_rx_noise_power():
 def random_gates(n, rng):
     """Gates of every shape synth_reader_rx must handle, by name."""
     lo, hi = sorted(int(v) for v in rng.integers(0, n, 2))
-    interval = np.zeros(n)
-    interval[lo: hi + 1] = 1.0
-    holes = interval * (rng.random(n) < 0.5)
-    holes[[lo, hi]] = 1.0
-    to_end = np.zeros(n)
-    to_end[n - 5:] = 1.0                     # reflection tail clipped at the frame end
-    to_end[n - 3] = 0.0
-    return {"interval": interval, "holes": holes, "to_end": to_end, "closed": np.zeros(n)}
+    return {"interval": GateSequence(n, lo, hi + 1),
+            "to_end": GateSequence(n, n - 5, n),     # reflection tail clipped at the frame end
+            "closed": GateSequence(n, lo, lo)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,8 +251,8 @@ def test_gate_span_reflection_matches_full_frame_formula(seed):
     muted = ChannelSet(direct=np.zeros_like(ch.direct), tag=ch.tag, reflect=ch.reflect)
     src = gen_source_symbol(p, rng)
     tagged = tag_input(src, ch.tag)
-    for name, g in random_gates(len(src), rng).items():
-        gate = GateSequence(gate=g, bit=int(g.any()))
+    for name, gate in random_gates(len(src), rng).items():
+        g = gate.gate
         want = (taps_convolve(src.samples, ch.direct)
                 + p.tag_gain * taps_convolve(g * tagged.samples, ch.reflect))
         got = synth_reader_rx(src, tagged, gate, ch, p, rng=None).samples
