@@ -48,18 +48,22 @@ class ThresholdKind(Enum):
 
 
 def compute_scales(params: SystemParams, channels: ChannelSet) -> DetectionScales:
-    """Scales for a known channel realization.
+    """Scales for a known channel realization; see :func:`energy_scales`."""
+    return energy_scales(params, float(np.add.reduce(np.abs(channels.tag) ** 2)),
+                         float(np.add.reduce(np.abs(channels.reflect) ** 2)))
 
-    lift  = block_len * |tag_gain|^2 * source_power
-            * sum|tag taps|^2 * sum|reflect taps|^2
+
+def energy_scales(params: SystemParams, tag_energy: float,
+                  reflect_energy: float) -> DetectionScales:
+    """Scales for tag and reflect taps of the given total energies ``sum|taps|^2``.
+
+    lift  = block_len * |tag_gain|^2 * source_power * tag_energy * reflect_energy
     floor = 2 * cancel_len * noise_power
 
     The floor doubles the per-sample noise power because cancellation
     subtracts two independent noisy windows, and counts ``cancel_len``
     samples because folding conserves total noise energy.
     """
-    tag_energy = float(np.add.reduce(np.abs(channels.tag) ** 2))
-    reflect_energy = float(np.add.reduce(np.abs(channels.reflect) ** 2))
     lift = (params.block_len * abs(params.tag_gain) ** 2 * params.source_power
             * tag_energy * reflect_energy)
     floor = 2.0 * params.cancel_len * params.noise_power

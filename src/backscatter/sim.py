@@ -1,13 +1,20 @@
-"""Monte Carlo engine: per-trial pipeline, BER estimation and sweeps.
+"""Monte Carlo engine: BER estimation and sweeps, and the per-trial reference chain.
+
+A trial's statistic reads only the first ``window`` DFT bins, and for a
+fixed bit and channel realization those bins are exactly ``CN(0, Sigma_bit)``
+(:mod:`backscatter.exact`). The engine therefore draws each trial's bins from
+that law, ``z = chol(Sigma_bit) u``, instead of running the frame chain;
+:func:`run_trial` keeps the chain as the reference that the tests and the
+benchmark's correctness check compare the engine against. Statistic and
+threshold are in units of the noise floor.
 
 The trials of a point run in fixed blocks of :data:`TRIAL_BLOCK`; each block
-draws from its own SFC64 stream keyed (seed, point, 1, block), and the trials
-of a block draw from it in order. A fixed channel realization comes from the
+draws from its own SFC64 stream keyed (seed, point, 1, block): first the
+block's bits, then in redraw mode each trial's tag and reflect taps, then
+each trial's ``window`` normals. A fixed channel realization comes from the
 PCG64 stream (seed, point, 0). Workers take whole blocks, so results are
 identical for any worker count or chunking, and aggregation is a plain
-error-count sum. Trials are independent symbols: zero pre-history is safe
-because every processed sample sits at least ``max_order`` taps past the
-symbol start.
+error-count sum.
 """
 from __future__ import annotations
 
@@ -20,9 +27,11 @@ from itertools import product
 
 import numpy as np
 
-from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, derive_params,
-                   draw_channels, generator, params_to_map, substream)
-from .detector import ThresholdKind, analytic_ber, compute_scales, detect, threshold_for
+from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_normal,
+                   derive_params, draw_channels, generator, params_to_map, substream)
+from .detector import (ThresholdKind, analytic_ber, compute_scales, detect, energy_scales,
+                       threshold_for)
+from .exact import sigma0, sigma1
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
@@ -84,7 +93,12 @@ def params_at_snr(params: SystemParams, snr_db: float) -> SystemParams:
 
 def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: float,
               rng: np.random.Generator) -> TrialOutcome:
-    """One symbol through the full chain, decided from the first statistic window."""
+    """One symbol through the full chain, decided from the first statistic window.
+
+    The reference for the engine, which draws the same statistic from its law.
+    Trials are independent symbols: zero pre-history is safe because every
+    processed sample sits at least ``max_order`` taps past the symbol start.
+    """
     source = gen_source_symbol(params, rng)
     tagged = tag_input(source, channels.tag)
     gate = tag_gate(params, bit)
@@ -95,25 +109,47 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
     return TrialOutcome(decided_bit=detect(stat, threshold), statistic=stat)
 
 
+def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
+                reflect: np.ndarray) -> np.ndarray:
+    """Each trial's genie threshold in noise-floor units; its scales are checked first."""
+    tag_energy = np.add.reduce(np.abs(tag) ** 2, axis=1).tolist()
+    reflect_energy = np.add.reduce(np.abs(reflect) ** 2, axis=1).tolist()
+    out = []
+    for te, re in zip(tag_energy, reflect_energy):
+        scales = energy_scales(params, te, re)
+        out.append(threshold_for(kind, scales, params.window) / scales.noise_floor)
+    return np.array(out)
+
+
 def _count_errors(params: SystemParams, kind: ThresholdKind,
-                  channels: ChannelSet | None, threshold: float | None,
+                  law: tuple[float, np.ndarray] | None,
                   point: np.random.SeedSequence, first: int, last: int) -> int:
     """Errors over trial blocks [first, last); the chunk worker.
 
-    Without ``channels`` every trial draws its own, and without ``threshold``
-    every trial computes the genie threshold of its channels. Blocks draw
-    from SFC64, which fills the per-trial normals faster than PCG64.
+    ``law`` is the fixed realization's threshold and ``chol(Sigma_1)``, in
+    noise-floor units; without it every trial draws its own taps and gets
+    both from them. A trial's ``window`` normals have power ``1 / window``,
+    so its statistic is the squared norm of its bins.
     """
+    w = params.window
+    width = params.tag_order + 1
+    chol0 = np.linalg.cholesky(sigma0(params))
     errors = 0
     for block in range(first, last):
         rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
-        for _ in range(min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK)):
-            bit = int(rng.integers(0, 2))
-            ch = draw_channels(params, rng) if channels is None else channels
-            th = threshold if threshold is not None else threshold_for(
-                kind, compute_scales(params, ch), params.window)
-            if run_trial(params, ch, bit, th, rng).decided_bit != bit:
-                errors += 1
+        n = min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK)
+        bits = rng.integers(0, 2, n) == 1
+        if law is None:
+            taps = complex_normal(rng, n * (width + params.reflect_order + 1), 1.0).reshape(n, -1)
+            threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
+            chol1 = np.linalg.cholesky(sigma1(params, taps[bits, :width], taps[bits, width:]))
+        else:
+            threshold, chol1 = law
+        u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w, 1)
+        z = np.matmul(chol0, u)
+        z[bits] = np.matmul(chol1, u[bits])
+        stat = np.add.reduce(z.real ** 2 + z.imag ** 2, axis=(1, 2))
+        errors += int(np.count_nonzero((stat > threshold) != bits))
     return errors
 
 
@@ -123,24 +159,27 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     """Empirical BER at one operating point, bits drawn equiprobably.
 
     Fixed mode draws one channel realization up front (substream 0 of the
-    point), computes the threshold once and reports the matching
-    Gaussian-model prediction. Redraw mode draws channels and recomputes the
-    genie threshold inside every trial and reports no prediction. Scales
-    without a lift (zero tag gain) raise :class:`DegenerateScales`.
+    point), computes the threshold and the law of its bins once and reports
+    the matching Gaussian-model prediction. Redraw mode draws channels and
+    recomputes the genie threshold and the law for every trial and reports no
+    prediction. Scales without a lift (zero tag gain) raise
+    :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
+    before a covariance is built from them.
     """
     p = params_at_snr(params, snr_db)
-    channels: ChannelSet | None = None
-    threshold: float | None = None
+    law: tuple[float, np.ndarray] | None = None
     analytic: float | None = None
     if mode is ChannelMode.FIXED_REALIZATION:
         channels = draw_channels(p, generator(substream(stream, 0)))
         scales = compute_scales(p, channels)
         threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
+        law = (threshold / scales.noise_floor,
+               np.linalg.cholesky(sigma1(p, channels.tag[None], channels.reflect[None])))
 
     n = p.trials
     blocks = (n + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    count = partial(_count_errors, p, kind, channels, threshold, stream)
+    count = partial(_count_errors, p, kind, law, stream)
     if workers <= 1:
         errors = count(0, blocks)
     else:

@@ -274,6 +274,20 @@ def test_csv_floats_carry_nine_significant_digits(tmp_path):
     assert len(mantissa) == 9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_gain_bins_stay_finite_in_noise_floor_units(tmp_path):
+    # at tag_gain 1e150 a bin's magnitude in linear units passes 1.34e154, so
+    # its square overflows; in units of the noise floor it does not
+    out = tmp_path / "x.csv"
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("tag_gain = 1e150\n")
+    assert run_cli(["--config", str(cfile), "--channel-mode", "redraw", "--snr", "20:30:5",
+                    "--w", "2,4,8,16", "--trials", "300", "--seed", "3", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 12
+    assert all(math.isfinite(float(row[5])) for row in rows)
+
+
 @pytest.mark.parametrize("config_line", ["tag_gain = 1e77", "tag_gain = 1e150"])
 def test_huge_finite_gain_writes_no_nan(tmp_path, config_line):
     out = tmp_path / "x.csv"

@@ -1,0 +1,58 @@
+"""The exact first-window law against the frame chain it stands in for.
+
+The engine draws each trial's bins from ``CN(0, Sigma_bit)``. These gates
+keep the per-trial chain as the oracle: on identical source and noise
+samples the linear maps give the chain's bins, and the lag-form covariance
+equals the one built from the probed bin responses.
+"""
+import numpy as np
+import pytest
+
+from backscatter import draw_channels, exact
+from backscatter.core import complex_normal
+from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
+
+GEOMETRIES = {"reference": {}, "short": SHORT, "w10": dict(window=10),
+              "w16-orders-3-5": dict(window=16, tag_order=3, reflect_order=5)}
+
+
+@pytest.mark.parametrize("over", [{}, SHORT], ids=["reference", "short"])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_linear_maps_give_the_chain_bins(over, bit):
+    # z = bit * R s + G d on the chain's own samples: s the last cp_len body
+    # samples, d the prefix-minus-body noise difference
+    p = make_params(**over)
+    ch = draw_channels(p, np.random.default_rng(41))
+    _, rx = chain(p, ch, bit, np.random.default_rng(42), np.random.default_rng(43))
+    want = reader_spectrum(p, rx)[:p.window]
+    s = complex_normal(np.random.default_rng(42), p.eff_len, p.source_power)[-p.cp_len:]
+    noise = complex_normal(np.random.default_rng(43), p.cp_len + p.eff_len, p.noise_power)
+    q, c, n = p.max_order, p.cp_len, p.eff_len
+    d = noise[q:c] - noise[n + q:n + c]
+    got = bit * (s @ exact.response(p, ch).T) + d @ exact.noise_map(p).T
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("over", list(GEOMETRIES.values()), ids=list(GEOMETRIES))
+def test_lag_form_covariances_match_the_probe(over):
+    p = make_params(**over)
+    floor = 2 * p.cancel_len * p.noise_power
+    g = exact.noise_map(p)
+    s0 = exact.sigma0(p)
+    assert np.max(np.abs(s0 - 2 * p.noise_power * g @ g.conj().T / floor)) <= 1e-12
+    chans = [draw_channels(p, np.random.default_rng(seed)) for seed in (51, 52, 53)]
+    got = exact.sigma1(p, np.stack([ch.tag for ch in chans]),
+                       np.stack([ch.reflect for ch in chans]))
+    for ch, s1 in zip(chans, got):
+        r = probe_bin_gains(p, ch)[:p.window]
+        assert np.max(np.abs(exact.response(p, ch) - r)) <= 1e-12 * np.max(np.abs(r))
+        want = s0 + p.source_power * r @ r.conj().T / floor
+        assert np.max(np.abs(s1 - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sigma1_of_no_realization_is_empty():
+    # a redraw block whose bits are all 0 builds no bit-1 covariance
+    p = make_params()
+    tag = np.zeros((0, p.tag_order + 1), dtype=complex)
+    reflect = np.zeros((0, p.reflect_order + 1), dtype=complex)
+    assert exact.sigma1(p, tag, reflect).shape == (0, p.window, p.window)

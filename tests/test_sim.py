@@ -12,9 +12,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from backscatter import (ChannelMode, InvalidConfig, ThresholdKind, compute_scales,
+from backscatter import (ChannelMode, ChannelSet, InvalidConfig, ThresholdKind, compute_scales,
                          draw_channels, energy_statistics, estimate_ber, generator,
                          params_at_snr, run_trial, substream, sweep, threshold_for)
+from backscatter.core import complex_normal
+from backscatter.exact import sigma0, sigma1
 from backscatter.sim import TRIAL_BLOCK
 from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
 
@@ -262,25 +264,33 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_trial_streams_are_keyed_per_block(mode):
-    # replay the documented layout: trial t of a point draws, in order, from an
-    # SFC64 generator on substream(point, 1, t // TRIAL_BLOCK); channels from
-    # generator(substream(point, 0))
+    # replay the documented layout one trial at a time: block b of a point
+    # draws from an SFC64 generator on substream(point, 1, b), in order, the
+    # block's bits, in redraw mode each trial's tag then reflect taps, then
+    # each trial's window normals of power 1 / window; the trial decides 1
+    # when |chol(Sigma_bit) u|^2 exceeds its threshold over the noise floor.
+    # Fixed channels come from generator(substream(point, 0)).
     p = small_params(trials=TRIAL_BLOCK + 9)
     q = params_at_snr(p, 8.0)
     point = np.random.SeedSequence(23)
     kind = ThresholdKind.OPTIMAL
-    if mode is ChannelMode.FIXED_REALIZATION:
-        ch = draw_channels(q, generator(substream(point, 0)))
-        th = threshold_for(kind, compute_scales(q, ch), q.window)
+    w, width = q.window, q.tag_order + 1
+    fixed = draw_channels(q, generator(substream(point, 0)))
     errors = 0
-    for t in range(q.trials):
-        if t % TRIAL_BLOCK == 0:
-            rng = np.random.Generator(np.random.SFC64(substream(point, 1, t // TRIAL_BLOCK)))
-        bit = int(rng.integers(0, 2))
+    for block in range(2):
+        rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+        n = min(TRIAL_BLOCK, q.trials - block * TRIAL_BLOCK)
+        bits = rng.integers(0, 2, n)
+        channels = [fixed] * n
         if mode is ChannelMode.REDRAW_PER_TRIAL:
-            ch = draw_channels(q, rng)
-            th = threshold_for(kind, compute_scales(q, ch), q.window)
-        errors += run_trial(q, ch, bit, th, rng).decided_bit != bit
+            taps = complex_normal(rng, n * (width + q.reflect_order + 1), 1.0).reshape(n, -1)
+            channels = [ChannelSet(fixed.direct, row[:width], row[width:]) for row in taps]
+        normals = complex_normal(rng, n * w, 1.0 / w).reshape(n, w)
+        for bit, ch, u in zip(bits, channels, normals):
+            scales = compute_scales(q, ch)
+            th = threshold_for(kind, scales, w) / scales.noise_floor
+            cov = sigma1(q, ch.tag[None], ch.reflect[None])[0] if bit else sigma0(q)
+            errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
     rec = estimate_ber(p, kind, mode, 8.0, point)
     assert rec.empirical_ber == errors / q.trials
 
@@ -298,15 +308,19 @@ def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch):
     import backscatter.sim as sim_module
     calls = []
 
-    def counting_run_trial(*args):
+    def counting_kernel(*args):
         calls.append(args)
-        return run_trial(*args)
+        return count_errors(*args)
 
-    monkeypatch.setattr(sim_module, "run_trial", counting_run_trial)
+    count_errors = sim_module._count_errors
+    monkeypatch.setattr(sim_module, "_count_errors", counting_kernel)
     p = small_params(trials=10)
+    args = ([4], [ThresholdKind.OPTIMAL], ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
+    sweep(p, [10.0], *args)
+    assert len(calls) == 1      # the counter sees the kernel
+    calls.clear()
     with pytest.raises(InvalidConfig, match="snr_db"):
-        sweep(p, [10.0, 4000.0], [4], [ThresholdKind.OPTIMAL],
-              ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
+        sweep(p, [10.0, 4000.0], *args)
     assert calls == []
 
 
