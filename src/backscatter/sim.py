@@ -12,9 +12,12 @@ The trials of a point run in fixed blocks of :data:`TRIAL_BLOCK`; each block
 draws from its own SFC64 stream keyed (seed, point, 1, block): first the
 block's bits, then in redraw mode each trial's tag and reflect taps, then
 each trial's ``window`` normals. A fixed channel realization comes from the
-PCG64 stream (seed, point, 0). Workers take whole blocks, so results are
-identical for any worker count or chunking, and aggregation is a plain
-error-count sum.
+PCG64 stream (seed, point, 0). Workers take whole blocks. The draws stay per
+block, while thresholds, covariances, Cholesky factors and statistics are
+computed once per batch of whole blocks, sized by :data:`BATCH_BYTES`. Each
+trial's values do not depend on the batch it shares, so results are
+identical for any worker count, chunking or batch size, and aggregation is a
+plain error-count sum.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ import numpy as np
 
 from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_normal,
                    derive_params, draw_channels, generator, params_to_map, substream)
-from .detector import (ThresholdKind, analytic_ber, compute_scales, detect, energy_scales,
-                       threshold_for)
+from .detector import (ThresholdKind, _check_scales, analytic_ber, compute_scales, detect,
+                       energy_scales, threshold_for)
 from .exact import sigma0, sigma1
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
@@ -40,6 +43,11 @@ from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 # a few tens of microseconds, under 1 us per trial when shared by 50 trials,
 # and a 100-trial point still splits into two blocks for two workers.
 TRIAL_BLOCK = 50
+
+# Bytes of per-trial arrays that one batch of whole blocks may hold. Numpy
+# allocations past glibc's 128 KiB mmap threshold are faulted in afresh on
+# every call, so a batch's largest arrays stay near that size.
+BATCH_BYTES = 1024 * 1024
 
 
 class ChannelMode(Enum):
@@ -111,14 +119,43 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
 
 def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
                 reflect: np.ndarray) -> np.ndarray:
-    """Each trial's genie threshold in noise-floor units; its scales are checked first."""
-    tag_energy = np.add.reduce(np.abs(tag) ** 2, axis=1).tolist()
-    reflect_energy = np.add.reduce(np.abs(reflect) ** 2, axis=1).tolist()
-    out = []
-    for te, re in zip(tag_energy, reflect_energy):
-        scales = energy_scales(params, te, re)
-        out.append(threshold_for(kind, scales, params.window) / scales.noise_floor)
-    return np.array(out)
+    """Each trial's genie threshold over the noise floor, from its taps' energies.
+
+    The array form of :func:`energy_scales` and :func:`threshold_for`, in
+    their operation order, so each value equals the scalar one bit for bit;
+    ``log1p`` is math's, since numpy's may differ in the last bit. The first
+    trial with scales that ``_check_scales`` rejects is re-run through it, so
+    it raises what the scalar path raises.
+    """
+    w = params.window
+    tag_energy = np.add.reduce(np.abs(tag) ** 2, axis=1)
+    reflect_energy = np.add.reduce(np.abs(reflect) ** 2, axis=1)
+    gain = params.block_len * abs(params.tag_gain) ** 2 * params.source_power
+    floor = 2.0 * params.cancel_len * params.noise_power
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = gain * tag_energy * reflect_energy
+        r = lift / floor
+        ok = (r > 0) & (r < math.inf) & (lift + floor < math.inf)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        _check_scales(energy_scales(params, float(tag_energy[bad]),
+                                    float(reflect_energy[bad])), w)
+    if kind is ThresholdKind.OPTIMAL:
+        lg = np.array([math.log1p(x) for x in r.tolist()])
+        threshold = floor * ((1.0 + r) / (2.0 + r)) * (
+            1.0 + np.sqrt(1.0 + 2.0 / w * (lg + 2.0 * (lg / r))))
+    else:
+        threshold = floor * ((1.0 + r) / (1.0 + 0.5 * r))
+    return threshold / floor
+
+
+def _batch_blocks(params: SystemParams) -> int:
+    """Whole trial blocks per batch, so that a batch's per-trial arrays fit BATCH_BYTES."""
+    w, k = params.window, params.tag_order + 1
+    # complex128 words of one trial's arrays that are alive together: its
+    # Sigma_1 and Cholesky factor, the lag gather in sigma1, the taps and the bins
+    words = 2 * w * w + k * k + 2 * (k + params.reflect_order + 1) + 4 * w
+    return max(1, BATCH_BYTES // (16 * words * TRIAL_BLOCK))
 
 
 def _count_errors(params: SystemParams, kind: ThresholdKind,
@@ -129,23 +166,36 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
     ``law`` is the fixed realization's threshold and ``chol(Sigma_1)``, in
     noise-floor units; without it every trial draws its own taps and gets
     both from them. A trial's ``window`` normals have power ``1 / window``,
-    so its statistic is the squared norm of its bins.
+    so its statistic is the squared norm of its bins. Each block draws from
+    its own stream; the rest runs once per batch of :func:`_batch_blocks`
+    whole blocks.
     """
     w = params.window
     width = params.tag_order + 1
+    taps_per_trial = width + params.reflect_order + 1 if law is None else 0
     chol0 = np.linalg.cholesky(sigma0(params))
+    step = _batch_blocks(params)
     errors = 0
-    for block in range(first, last):
-        rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
-        n = min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK)
-        bits = rng.integers(0, 2, n) == 1
+    for start in range(first, last, step):
+        blocks = range(start, min(start + step, last))
+        sizes = [min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK) for block in blocks]
+        m = sum(sizes)
+        bits = np.empty(m, dtype=bool)
+        taps = np.empty((m, taps_per_trial), dtype=np.complex128)
+        u = np.empty((m, w, 1), dtype=np.complex128)
+        at = 0
+        for block, n in zip(blocks, sizes):
+            rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+            bits[at:at + n] = rng.integers(0, 2, n) == 1
+            if law is None:
+                complex_normal(rng, n * taps_per_trial, 1.0, out=taps[at:at + n].reshape(-1))
+            complex_normal(rng, n * w, 1.0 / w, out=u[at:at + n].reshape(-1))
+            at += n
         if law is None:
-            taps = complex_normal(rng, n * (width + params.reflect_order + 1), 1.0).reshape(n, -1)
             threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
             chol1 = np.linalg.cholesky(sigma1(params, taps[bits, :width], taps[bits, width:]))
         else:
             threshold, chol1 = law
-        u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w, 1)
         z = np.matmul(chol0, u)
         z[bits] = np.matmul(chol1, u[bits])
         stat = np.add.reduce(z.real ** 2 + z.imag ** 2, axis=(1, 2))

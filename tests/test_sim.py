@@ -7,15 +7,18 @@ Gamma-distributed with integer shape. Where the Gaussian model is a known
 idealization the tests document the gap instead of hiding it.
 """
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from backscatter import (ChannelMode, ChannelSet, InvalidConfig, ThresholdKind, compute_scales,
-                         draw_channels, energy_statistics, estimate_ber, generator,
-                         params_at_snr, run_trial, substream, sweep, threshold_for)
+from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfig, ThresholdKind,
+                         compute_scales, draw_channels, energy_statistics, estimate_ber,
+                         generator, params_at_snr, run_trial, sim, substream, sweep,
+                         threshold_for)
 from backscatter.core import complex_normal
+from backscatter.detector import energy_scales
 from backscatter.exact import sigma0, sigma1
 from backscatter.sim import TRIAL_BLOCK
 from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
@@ -165,7 +168,6 @@ def test_stderr_is_binomial():
 
 
 def test_zero_gain_propagates_degenerate_scales():
-    from backscatter import DegenerateScales
     p = make_params(tag_gain=0.0, trials=10)
     with pytest.raises(DegenerateScales):
         estimate_ber(p, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION,
@@ -262,22 +264,24 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
         assert [first for first, _ in ranges] + [blocks] == [0] + [last for _, last in ranges]
 
 
+@pytest.mark.parametrize("kind", list(ThresholdKind))
 @pytest.mark.parametrize("mode", list(ChannelMode))
-def test_trial_streams_are_keyed_per_block(mode):
+def test_trial_streams_are_keyed_per_block(mode, kind):
     # replay the documented layout one trial at a time: block b of a point
     # draws from an SFC64 generator on substream(point, 1, b), in order, the
     # block's bits, in redraw mode each trial's tag then reflect taps, then
     # each trial's window normals of power 1 / window; the trial decides 1
     # when |chol(Sigma_bit) u|^2 exceeds its threshold over the noise floor.
-    # Fixed channels come from generator(substream(point, 0)).
-    p = small_params(trials=TRIAL_BLOCK + 9)
+    # Fixed channels come from generator(substream(point, 0)). Three blocks,
+    # the last one short, which the kernel runs as one batch.
+    p = small_params(trials=2 * TRIAL_BLOCK + 9)
     q = params_at_snr(p, 8.0)
+    assert sim._batch_blocks(q) >= 3
     point = np.random.SeedSequence(23)
-    kind = ThresholdKind.OPTIMAL
     w, width = q.window, q.tag_order + 1
     fixed = draw_channels(q, generator(substream(point, 0)))
     errors = 0
-    for block in range(2):
+    for block in range(3):
         rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
         n = min(TRIAL_BLOCK, q.trials - block * TRIAL_BLOCK)
         bits = rng.integers(0, 2, n)
@@ -293,6 +297,121 @@ def test_trial_streams_are_keyed_per_block(mode):
             errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
     rec = estimate_ber(p, kind, mode, 8.0, point)
     assert rec.empirical_ber == errors / q.trials
+
+
+@pytest.mark.parametrize("window", [2, 16])
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_records_do_not_depend_on_the_batch(monkeypatch, mode, window):
+    # a budget of one byte runs every block as its own batch; the default
+    # runs W=2 in batches of several blocks and W=16 one block at a time,
+    # with a short last block either way
+    p = make_params(trials=3 * TRIAL_BLOCK + 7, window=window)
+    batch = sim._batch_blocks(p)
+    assert batch >= 4 if window == 2 else batch == 1
+    args = (p, [6.0, 14.0], [window], list(ThresholdKind), mode)
+    batched = sweep(*args, np.random.SeedSequence(37))
+    monkeypatch.setattr(sim, "BATCH_BYTES", 1)
+    assert sim._batch_blocks(p) == 1
+    assert sweep(*args, np.random.SeedSequence(37)) == batched
+
+
+@pytest.mark.parametrize("window", [2, 8, 16])
+def test_kernel_memory_is_bounded_per_batch(window):
+    # the peak of numpy's traced allocations over a redraw chunk is set by
+    # one batch, not by the chunk: 100 blocks peak no higher than 20, up to
+    # the spread of the bit-1 count between batches
+    kind = ThresholdKind.OPTIMAL
+    point = np.random.SeedSequence(41)
+    peaks = []
+    for blocks in (20, 100):
+        q = params_at_snr(make_params(trials=blocks * TRIAL_BLOCK, window=window), 20.0)
+        sim._count_errors(q, kind, None, point, 0, 1)      # fill the per-geometry caches
+        tracemalloc.start()
+        try:
+            sim._count_errors(q, kind, None, point, 0, blocks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * 2 ** 20
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("window", [1, 2, 16])
+@pytest.mark.parametrize("kind", list(ThresholdKind))
+def test_array_thresholds_equal_the_scalar_path(kind, window):
+    # lift/floor over random taps and near 1e-12 and near overflow, each
+    # trial's value bit for bit the scalar threshold_for over the floor
+    q = params_at_snr(make_params(window=window), 20.0)
+    rng = np.random.default_rng(43)
+    width, n = q.tag_order + 1, 300
+    taps = complex_normal(rng, n * (width + q.reflect_order + 1), 1.0).reshape(n, -1)
+    base = energy_scales(q, 1.0, 1.0)
+    unit = base.signal_lift / base.noise_floor          # lift/floor at unit energies
+    target = np.repeat([1e-12, 1.0, 1e305], n // 3) * rng.uniform(0.5, 2.0, n)
+    energy = np.add.reduce(np.abs(taps[:, :width]) ** 2, axis=1) * np.add.reduce(
+        np.abs(taps[:, width:]) ** 2, axis=1)
+    taps *= ((target / (unit * energy)) ** 0.25)[:, None]
+    scales = [compute_scales(q, ChannelSet(None, row[:width], row[width:])) for row in taps]
+    got = sim._thresholds(q, kind, taps[:, :width], taps[:, width:]).tolist()
+    assert got == [threshold_for(kind, s, window) / s.noise_floor for s in scales]
+    ratios = [s.signal_lift / s.noise_floor for s in scales]
+    assert min(ratios) < 1e-11 and max(ratios) > 1e305
+
+
+def scalar_error(q, kind, taps, width):
+    """The exception the scalar path raises on the first bad row of ``taps``, or None."""
+    for row in taps:
+        try:
+            threshold_for(kind, compute_scales(q, ChannelSet(None, row[:width], row[width:])),
+                          q.window)
+        except ValueError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("kind", list(ThresholdKind))
+@pytest.mark.parametrize("noise_power,energies,error", [
+    # lift/floor underflows to zero from a subnormal lift
+    (1.0, [(1.0, 1.0), (1e-170, 1e-157), (1e-170, 2e-157)], DegenerateScales),
+    # a finite lift over a floor below 1 overflows
+    (1e-6, [(1.0, 1.0), (1e154, 2e154), (1e154, 3e154)], ValueError),
+])
+def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energies, error):
+    # both bad trials fail, with messages that name their own lift
+    q = params_at_snr(make_params(noise_power=noise_power), 20.0)
+    width = q.tag_order + 1
+    taps = np.zeros((len(energies), width + q.reflect_order + 1), dtype=complex)
+    taps[:, 0], taps[:, width] = np.sqrt(energies).T
+    assert scalar_error(q, kind, taps[:1], width) is None
+    first, second = scalar_error(q, kind, taps[1:2], width), scalar_error(q, kind, taps[2:], width)
+    assert type(first) is type(second) is error and str(first) != str(second)
+    with pytest.raises(error) as got:
+        sim._thresholds(q, kind, taps[:, :width], taps[:, width:])
+    assert type(got.value) is error and str(got.value) == str(first)
+
+
+@pytest.mark.parametrize("kind", list(ThresholdKind))
+@pytest.mark.parametrize("gain,error", [(0.0, DegenerateScales), (1e151, ValueError)])
+def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
+    # zero gain has no lift in any trial; at 1e151 only trials with large tap
+    # energies overflow, so the first bad trial is not the first trial
+    q = params_at_snr(make_params(tag_gain=gain, trials=2 * TRIAL_BLOCK), 20.0)
+    width = q.tag_order + 1
+    point = np.random.SeedSequence(41)
+    rng = np.random.Generator(np.random.SFC64(substream(point, 1, 0)))
+    rng.integers(0, 2, TRIAL_BLOCK)     # the block's bits come first
+    taps = complex_normal(rng, TRIAL_BLOCK * (width + q.reflect_order + 1), 1.0)
+    taps = taps.reshape(TRIAL_BLOCK, -1)
+    want = scalar_error(q, kind, taps, width)
+    assert type(want) is error
+    if gain:
+        assert scalar_error(q, kind, taps[:1], width) is None
+    with pytest.raises(error) as got:
+        sim._thresholds(q, kind, taps[:, :width], taps[:, width:])
+    assert type(got.value) is error and str(got.value) == str(want)
+    with pytest.raises(error) as got:
+        estimate_ber(q, kind, ChannelMode.REDRAW_PER_TRIAL, 20.0, point)
+    assert type(got.value) is error and str(got.value) == str(want)
 
 
 @pytest.mark.parametrize("window", [0, 57])
