@@ -5,7 +5,9 @@ The decision statistic for each hypothesis is modelled as Gaussian,
 ``N(lift + floor, (lift + floor)^2 / window)`` when it reflects. Both
 thresholds are genie-aided closed forms in the exact scales of the true
 channel realization; the equal-error one, the harmonic mean of the two
-hypothesis means, does not depend on the window.
+hypothesis means, does not depend on the window. The scales, their check and
+both thresholds also take an array of per-trial lifts, each element giving
+bit for bit what it gives alone.
 """
 from __future__ import annotations
 
@@ -35,10 +37,10 @@ class DetectionScales:
     """Mean statistic levels of the two hypotheses, in linear power units.
 
     ``noise_floor`` is the silent-tag mean; ``signal_lift`` is the extra mean
-    energy a reflecting tag adds on top of it.
+    energy a reflecting tag adds on top of it (or an array of per-trial lifts).
     """
 
-    signal_lift: float
+    signal_lift: float | np.ndarray
     noise_floor: float
 
 
@@ -55,7 +57,8 @@ def compute_scales(params: SystemParams, channels: ChannelSet) -> DetectionScale
 
 def energy_scales(params: SystemParams, tag_energy: float,
                   reflect_energy: float) -> DetectionScales:
-    """Scales for tag and reflect taps of the given total energies ``sum|taps|^2``.
+    """Scales for tag and reflect taps of the given total energies ``sum|taps|^2``,
+    one pair or arrays of one pair per trial.
 
     lift  = block_len * |tag_gain|^2 * source_power * tag_energy * reflect_energy
     floor = 2 * cancel_len * noise_power
@@ -83,12 +86,22 @@ def qfunc_approx(x: float) -> float:
 
 
 def _check_scales(scales: DetectionScales, window: int) -> tuple[float, float]:
-    """The (lift, floor) of valid scales for a threshold or BER at ``window``."""
+    """The (lift, floor) of valid scales for a threshold or BER at ``window``.
+
+    Of an array of lifts, the first invalid one raises what it raises alone.
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     lift, floor = scales.signal_lift, scales.noise_floor
     if not 0 < floor < math.inf:
         raise ValueError(f"noise_floor must be finite and > 0, got {floor}")
+    if isinstance(lift, np.ndarray):
+        with np.errstate(over="ignore"):
+            r = lift / floor
+            ok = (r > 0) & (r < math.inf) & (lift + floor < math.inf)
+        if not ok.all():
+            _check_scales(DetectionScales(float(lift[ok.argmin()]), floor), window)
+        return lift, floor
     if not lift / floor > 0:
         raise DegenerateScales(f"signal_lift must be > 0 against noise_floor={floor}, got {lift}")
     if not (lift / floor < math.inf and lift + floor < math.inf):
@@ -111,9 +124,14 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     """
     lift, floor = _check_scales(scales, window)
     r = lift / floor
-    lg = math.log1p(r)      # lg / r stays near 1 where 2 / r would overflow
+    # lg / r stays near 1 where 2 / r would overflow; per-trial lifts also take
+    # math's log1p, since numpy's can differ in the last bit
+    if isinstance(r, np.ndarray):
+        lg, sqrt = np.array([math.log1p(x) for x in r.tolist()]), np.sqrt
+    else:
+        lg, sqrt = math.log1p(r), math.sqrt
     return (floor * ((1.0 + r) / (2.0 + r))
-            * (1.0 + math.sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
+            * (1.0 + sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
 
 
 def optimal_threshold_simplified(scales: DetectionScales, window: int) -> float:

@@ -18,10 +18,11 @@ exactly ``CN(0, Sigma_bit)`` with
     Sigma_0 = 2 noise_power G G^H,    Sigma_1 = Sigma_0 + source_power R R^H.
 
 :func:`sigma0` and :func:`sigma1` return these in units of the noise floor
-``2 * cancel_len * noise_power``, the silent-tag mean of the statistic, so
-no power scale enters a matrix product. ``sigma1`` builds ``R R^H`` in lag
-form, ``|tag_gain|^2 diag(H_r) (sum_d rho(d) M_d) diag(H_r)^H``, from the
-tag's autocorrelation ``rho`` and the fixed matrices ``M_d = F_W J_d F_W^H``
+``2 * cancel_len * noise_power``, the silent-tag mean of the statistic
+(:func:`backscatter.detector.energy_scales`), so no power scale enters a
+matrix product. ``sigma1`` builds ``R R^H`` in lag form,
+``|tag_gain|^2 diag(H_r) (sum_d rho(d) M_d) diag(H_r)^H``, from the tag's
+autocorrelation ``rho`` and the fixed matrices ``M_d = F_W J_d F_W^H``
 (``J_d`` the shift by ``d``), without forming ``R``.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ChannelSet, SystemParams
+from .detector import energy_scales
 
 
 @lru_cache(maxsize=8)
@@ -118,7 +120,7 @@ def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.nda
     np.take(padded, np.add.outer(range(k), range(k)), axis=1, out=lagged, mode="clip")
     rho = np.matmul(lagged, tag.conj()[:, :, None])[:, :, 0]
     half = np.matmul(rho[:, None, :], _lag_maps(params.block_len, w, k - 1)).reshape(m, w, w)
-    floor = 2.0 * params.cancel_len * params.noise_power
+    floor = energy_scales(params, 0.0, 0.0).noise_floor
     amp = abs(params.tag_gain) * (math.sqrt(params.source_power) / math.sqrt(floor))
     v = amp * np.matmul(reflect[:, None, :], f[:, :reflect.shape[1]].T)
     # x = v^T * half * conj(v), then (sigma0 + x) + x^H, in two stacks. No

@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_normal,
                    derive_params, draw_channels, generator, params_to_map, substream)
-from .detector import (ThresholdKind, _check_scales, analytic_ber, compute_scales, detect,
-                       energy_scales, threshold_for)
+from .detector import (ThresholdKind, analytic_ber, compute_scales, detect, energy_scales,
+                       threshold_for)
 from .exact import sigma0, sigma1
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
@@ -121,32 +121,13 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
                 reflect: np.ndarray) -> np.ndarray:
     """Each trial's genie threshold over the noise floor, from its taps' energies.
 
-    The array form of :func:`energy_scales` and :func:`threshold_for`, in
-    their operation order, so each value equals the scalar one bit for bit;
-    ``log1p`` is math's, since numpy's may differ in the last bit. The first
-    trial with scales that ``_check_scales`` rejects is re-run through it, so
-    it raises what the scalar path raises.
+    The ``detector`` forms on arrays: values and errors are the scalar path's,
+    bit for bit.
     """
-    w = params.window
-    tag_energy = np.add.reduce(np.abs(tag) ** 2, axis=1)
-    reflect_energy = np.add.reduce(np.abs(reflect) ** 2, axis=1)
-    gain = params.block_len * abs(params.tag_gain) ** 2 * params.source_power
-    floor = 2.0 * params.cancel_len * params.noise_power
-    with np.errstate(over="ignore", invalid="ignore"):
-        lift = gain * tag_energy * reflect_energy
-        r = lift / floor
-        ok = (r > 0) & (r < math.inf) & (lift + floor < math.inf)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        _check_scales(energy_scales(params, float(tag_energy[bad]),
-                                    float(reflect_energy[bad])), w)
-    if kind is ThresholdKind.OPTIMAL:
-        lg = np.array([math.log1p(x) for x in r.tolist()])
-        threshold = floor * ((1.0 + r) / (2.0 + r)) * (
-            1.0 + np.sqrt(1.0 + 2.0 / w * (lg + 2.0 * (lg / r))))
-    else:
-        threshold = floor * ((1.0 + r) / (1.0 + 0.5 * r))
-    return threshold / floor
+    with np.errstate(over="ignore", invalid="ignore"):      # the check names an overflow
+        scales = energy_scales(params, np.add.reduce(np.abs(tag) ** 2, axis=1),
+                               np.add.reduce(np.abs(reflect) ** 2, axis=1))
+    return threshold_for(kind, scales, params.window) / scales.noise_floor
 
 
 def _batch_blocks(params: SystemParams) -> int:

@@ -9,9 +9,7 @@ spread, backscatter energy stays inside the prefix and legacy receivers
 Exactness contract: every convolution here adds the taps in one fixed order
 at every output position, so two positions whose input windows are bitwise
 identical give bitwise-identical outputs. The reader's prefix/body
-cancellation rests on this. Long convolutions run as four float64
-convolutions of the real and imaginary parts; short ones run as one complex
-convolution. Both branches keep the contract.
+cancellation rests on this.
 """
 from __future__ import annotations
 
@@ -47,41 +45,13 @@ class GateSequence:
         return gate
 
 
-# Full convolutions of at least this many outputs split into real parts: one
-# complex convolve makes a BLAS dot call per output, four float64 ones run
-# numpy's small-kernel loop. With 9 taps the split broke even near
-# 500 outputs (2x slower at 132, 1.6x faster at 1288, numpy 2.4, x86-64).
-SPLIT_MIN_OUTPUTS = 500
-
-
-def _full_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full convolution of complex ``x`` and ``taps``, ``len(x) + len(taps) - 1`` outputs.
-
-    From :data:`SPLIT_MIN_OUTPUTS` outputs it makes four float64 convolutions
-    of the real and imaginary parts, ``re = xr*hr - xi*hi`` and
-    ``im = xr*hi + xi*hr``, each as ``np.correlate`` with the reversed taps
-    (the loop ``np.convolve`` runs, without its wrapper); below, one complex
-    convolution. Both keep the exactness contract in the module docstring.
-    """
-    n = len(x) + len(taps) - 1
-    if n < SPLIT_MIN_OUTPUTS:
-        return np.convolve(x, taps)
-    xr, xi = x.real.copy(), x.imag.copy()
-    h = taps[::-1]
-    hr, hi = h.real.copy(), h.imag.copy()
-    out = np.empty(n, dtype=complex)
-    np.subtract(np.correlate(xr, hr, "full"), np.correlate(xi, hi, "full"), out=out.real)
-    np.add(np.correlate(xr, hi, "full"), np.correlate(xi, hr, "full"), out=out.imag)
-    return out
-
-
 def taps_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Causal FIR filter with zero pre-history, output trimmed to ``len(x)``.
 
-    Returns the first ``len(x)`` outputs of :func:`_full_convolve`, which keep
-    the exactness contract in the module docstring.
+    One complex ``np.convolve``, which keeps the exactness contract in the
+    module docstring.
     """
-    return _full_convolve(np.asarray(x, dtype=complex), np.asarray(taps, dtype=complex))[: len(x)]
+    return np.convolve(np.asarray(x, dtype=complex), np.asarray(taps, dtype=complex))[: len(x)]
 
 
 def gen_source_symbol(params: SystemParams, rng: np.random.Generator) -> SymbolFrame:
@@ -139,7 +109,7 @@ def synth_reader_rx(source: SymbolFrame, tag_in: SymbolFrame, gate: GateSequence
     y = taps_convolve(source.samples, channels.direct)
     lo, hi = gate.start, gate.stop
     if hi > lo:
-        reflected = _full_convolve(tag_in.samples[lo:hi], channels.reflect)
+        reflected = np.convolve(tag_in.samples[lo:hi], channels.reflect)
         stop = min(lo + len(reflected), len(y))
         y[lo:stop] += params.tag_gain * reflected[: stop - lo]
     if rng is not None:

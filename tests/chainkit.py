@@ -9,7 +9,7 @@ from backscatter import (FrameOrigin, SymbolFrame, cancel_interference, derive_p
 
 REFERENCE = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                  tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8, trials=100)
-# 128-sample frames: their convolutions stay below the real-part split.
+# 128-sample frames, a short geometry beside the reference one.
 SHORT = dict(cp_len=64, eff_len=64, direct_order=4, tag_order=4, reflect_order=4, window=4)
 
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from backscatter import (ChannelSet, DegenerateScales, DetectionScales, DomainError,
-                         ThresholdKind, analytic_ber, compute_scales, detect,
-                         equiprobable_threshold, equiprobable_threshold_exact,
-                         optimal_threshold, optimal_threshold_simplified, qfunc,
-                         qfunc_approx, threshold_for)
+from backscatter import (ChannelMode, ChannelSet, DegenerateScales, DetectionScales,
+                         DomainError, ThresholdKind, analytic_ber, compute_scales, detect,
+                         draw_channels, equiprobable_threshold, equiprobable_threshold_exact,
+                         estimate_ber, optimal_threshold, optimal_threshold_simplified,
+                         params_at_snr, qfunc, qfunc_approx, threshold_for)
 from chainkit import make_params
 
 A, B = 0.416, 0.717
@@ -295,6 +295,20 @@ def test_threshold_for_dispatch():
     scales = DetectionScales(496.0, 496.0)
     assert threshold_for(ThresholdKind.OPTIMAL, scales, 8) == optimal_threshold(scales, 8)
     assert threshold_for(ThresholdKind.EQUIPROBABLE, scales, 8) == equiprobable_threshold(scales, 8)
+
+
+def test_scalar_api_returns_python_floats():
+    # the closed forms also run on arrays; a numpy scalar leaking out of the
+    # scalar path would change repr(BerRecord) under numpy 2
+    p = params_at_snr(make_params(trials=50), 20.0)
+    scales = compute_scales(p, draw_channels(p, np.random.default_rng(47)))
+    values = [optimal_threshold(scales, 8), equiprobable_threshold(scales, 8),
+              *(threshold_for(kind, scales, 8) for kind in ThresholdKind)]
+    values.append(analytic_ber(values[0], scales, 8))
+    record = estimate_ber(p, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 20.0,
+                          np.random.SeedSequence(47))
+    values.append(record.analytic_ber)
+    assert [type(v) for v in values] == [float] * 6
 
 
 def test_analytic_ber_limits_and_value():

@@ -25,8 +25,7 @@ def circular_convolve(a, b):
 
 # ------------------------------------------------------------- cancellation
 
-# The reference geometry runs the frame-length convolutions on the real-part
-# split; the short one (128-sample frames) runs them as complex convolutions.
+# Cancellation is exact on 1280-sample frames and on 128-sample ones.
 @pytest.mark.parametrize("geometry", [{}, SHORT], ids=["reference", "short"])
 def test_silent_tag_cancels_exactly(geometry):
     p = make_params(**geometry)

@@ -10,7 +10,6 @@ import pytest
 from backscatter import (ChannelSet, FrameOrigin, GateSequence, draw_channels,
                          gen_source_symbol, legacy_window, params_at_snr, synth_reader_rx,
                          tag_gate, tag_input, taps_convolve)
-from backscatter.waveform import SPLIT_MIN_OUTPUTS
 from chainkit import chain, make_params
 
 
@@ -122,12 +121,12 @@ def complex_samples(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-# input lengths whose convolution runs the complex and the split branch
-BRANCH_LENGTHS = [64, SPLIT_MIN_OUTPUTS + 100]
+# short and long inputs, up to the reference frame length
+LENGTHS = [64, 600, 1280]
 
 
 @pytest.mark.parametrize("n_taps", [1, 5, 9, 17])
-@pytest.mark.parametrize("n", [1, 9, SPLIT_MIN_OUTPUTS - 1, SPLIT_MIN_OUTPUTS + 1, 1280])
+@pytest.mark.parametrize("n", [1, 9, 499, 501, 1280])
 def test_taps_convolve_matches_brute_force(n, n_taps):
     rng = np.random.default_rng(100 * n + n_taps)
     x, taps = complex_samples(rng, n), complex_samples(rng, n_taps)
@@ -136,24 +135,7 @@ def test_taps_convolve_matches_brute_force(n, n_taps):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n,calls", [
-    (BRANCH_LENGTHS[0], [("convolve", np.dtype(complex))]),
-    (BRANCH_LENGTHS[1], [("correlate", np.dtype(float))] * 4),
-])
-def test_convolution_branch_choice(monkeypatch, n, calls):
-    # one complex convolve, or four float64 ones on the real and imaginary parts
-    seen = []
-    for name in ("convolve", "correlate"):
-        def record(a, v, *mode, _name=name, _f=getattr(np, name)):
-            seen.append((_name, a.dtype))
-            return _f(a, v, *mode)
-        monkeypatch.setattr(np, name, record)
-    rng = np.random.default_rng(n)
-    taps_convolve(complex_samples(rng, n), complex_samples(rng, 9))
-    assert seen == calls
-
-
-@pytest.mark.parametrize("n", BRANCH_LENGTHS)
+@pytest.mark.parametrize("n", LENGTHS)
 def test_identity_and_unit_delay_taps_are_exact(n):
     x = complex_samples(np.random.default_rng(n), n)
     assert np.array_equal(taps_convolve(x, np.array([1.0 + 0j])), x)
@@ -163,7 +145,7 @@ def test_identity_and_unit_delay_taps_are_exact(n):
 
 
 @pytest.mark.parametrize("n_taps", [5, 9])
-@pytest.mark.parametrize("n", BRANCH_LENGTHS)
+@pytest.mark.parametrize("n", LENGTHS)
 def test_equal_windows_give_equal_outputs(n, n_taps):
     # the prefix/body relation: the last w inputs repeat the first w bit for
     # bit, so every output past the taps' reach repeats too
