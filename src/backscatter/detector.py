@@ -49,10 +49,15 @@ class ThresholdKind(Enum):
     EQUIPROBABLE = "equiprobable"
 
 
+def _tap_energy(taps: np.ndarray) -> np.ndarray:
+    """``sum |taps|^2`` over the last axis: one realization's, or one per stacked row."""
+    return np.add.reduce(np.abs(taps) ** 2, axis=-1)
+
+
 def compute_scales(params: SystemParams, channels: ChannelSet) -> DetectionScales:
     """Scales for a known channel realization; see :func:`energy_scales`."""
-    return energy_scales(params, float(np.add.reduce(np.abs(channels.tag) ** 2)),
-                         float(np.add.reduce(np.abs(channels.reflect) ** 2)))
+    return energy_scales(params, float(_tap_energy(channels.tag)),
+                         float(_tap_energy(channels.reflect)))
 
 
 def energy_scales(params: SystemParams, tag_energy: float,

@@ -2,22 +2,21 @@
 
 A trial's statistic reads only the first ``window`` DFT bins, and for a
 fixed bit and channel realization those bins are exactly ``CN(0, Sigma_bit)``
-(:mod:`backscatter.exact`). The engine therefore draws each trial's bins from
-that law, ``z = chol(Sigma_bit) u``, instead of running the frame chain;
-:func:`run_trial` keeps the chain as the reference that the tests and the
-benchmark's correctness check compare the engine against. Statistic and
-threshold are in units of the noise floor.
+(:mod:`backscatter.exact`). Their energy thus has the law of ``u^H Sigma_bit u``
+for white ``u ~ CN(0, I / window)``, which the engine evaluates instead of
+running the frame chain; :func:`run_trial` keeps the chain as the reference
+that the tests and the benchmark's correctness check compare it against.
+Statistic and threshold are in units of the noise floor.
 
 The trials of a point run in fixed blocks of :data:`TRIAL_BLOCK`; each block
 draws from its own SFC64 stream keyed (seed, point, 1, block): first the
 block's bits, then in redraw mode each trial's tag and reflect taps, then
 each trial's ``window`` normals. A fixed channel realization comes from the
 PCG64 stream (seed, point, 0). Workers take whole blocks. The draws stay per
-block, while thresholds, covariances, Cholesky factors and statistics are
-computed once per batch of whole blocks, sized by :data:`BATCH_BYTES`. Each
-trial's values do not depend on the batch it shares, so results are
-identical for any worker count, chunking or batch size, and aggregation is a
-plain error-count sum.
+block, while thresholds, covariances and statistics are computed once per
+batch of whole blocks, sized by :data:`BATCH_BYTES`. Each trial's values do
+not depend on the batch it shares, so results are identical for any worker
+count, chunking or batch size, and aggregation is a plain error-count sum.
 """
 from __future__ import annotations
 
@@ -32,8 +31,8 @@ import numpy as np
 
 from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_normal,
                    derive_params, draw_channels, generator, params_to_map, substream)
-from .detector import (ThresholdKind, analytic_ber, compute_scales, detect, energy_scales,
-                       threshold_for)
+from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
+                       energy_scales, threshold_for)
 from .exact import sigma0, sigma1
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
@@ -125,16 +124,14 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
     bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):      # the check names an overflow
-        scales = energy_scales(params, np.add.reduce(np.abs(tag) ** 2, axis=1),
-                               np.add.reduce(np.abs(reflect) ** 2, axis=1))
+        scales = energy_scales(params, _tap_energy(tag), _tap_energy(reflect))
     return threshold_for(kind, scales, params.window) / scales.noise_floor
 
 
 def _batch_blocks(params: SystemParams) -> int:
     """Whole trial blocks per batch, so that a batch's per-trial arrays fit BATCH_BYTES."""
     w, k = params.window, params.tag_order + 1
-    # complex128 words of one trial's arrays that are alive together: its
-    # Sigma_1 and Cholesky factor, the lag gather in sigma1, the taps and the bins
+    # complex128 words alive per trial: sigma1's two (w, w) stacks, its lag gather, taps, u, y
     words = 2 * w * w + k * k + 2 * (k + params.reflect_order + 1) + 4 * w
     return max(1, BATCH_BYTES // (16 * words * TRIAL_BLOCK))
 
@@ -144,17 +141,15 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
                   point: np.random.SeedSequence, first: int, last: int) -> int:
     """Errors over trial blocks [first, last); the chunk worker.
 
-    ``law`` is the fixed realization's threshold and ``chol(Sigma_1)``, in
+    ``law`` is the fixed realization's threshold and ``Sigma_1``, in
     noise-floor units; without it every trial draws its own taps and gets
-    both from them. A trial's ``window`` normals have power ``1 / window``,
-    so its statistic is the squared norm of its bins. Each block draws from
-    its own stream; the rest runs once per batch of :func:`_batch_blocks`
-    whole blocks.
+    both from them. A trial's statistic is ``Re(u^H Sigma_bit u)`` of its
+    ``window`` normals ``u`` (power ``1 / window``), summed in real arithmetic
+    so that its rounding cannot depend on the batch. Each block draws from its
+    own stream; the rest runs once per batch of :func:`_batch_blocks` blocks.
     """
-    w = params.window
-    width = params.tag_order + 1
+    w, width = params.window, params.tag_order + 1
     taps_per_trial = width + params.reflect_order + 1 if law is None else 0
-    chol0 = np.linalg.cholesky(sigma0(params))
     step = _batch_blocks(params)
     errors = 0
     for start in range(first, last, step):
@@ -174,12 +169,12 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
             at += n
         if law is None:
             threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
-            chol1 = np.linalg.cholesky(sigma1(params, taps[bits, :width], taps[bits, width:]))
+            cov1 = sigma1(params, taps[bits, :width], taps[bits, width:])
         else:
-            threshold, chol1 = law
-        z = np.matmul(chol0, u)
-        z[bits] = np.matmul(chol1, u[bits])
-        stat = np.add.reduce(z.real ** 2 + z.imag ** 2, axis=(1, 2))
+            threshold, cov1 = law
+        y = np.matmul(sigma0(params), u)
+        y[bits] = np.matmul(cov1, u[bits])
+        stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=(1, 2))
         errors += int(np.count_nonzero((stat > threshold) != bits))
     return errors
 
@@ -206,7 +201,7 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
         threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
         law = (threshold / scales.noise_floor,
-               np.linalg.cholesky(sigma1(p, channels.tag[None], channels.reflect[None])))
+               sigma1(p, channels.tag[None], channels.reflect[None]))
 
     n = p.trials
     blocks = (n + TRIAL_BLOCK - 1) // TRIAL_BLOCK

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfig, ThresholdKind,
-                         compute_scales, draw_channels, energy_statistics, estimate_ber,
-                         generator, params_at_snr, run_trial, sim, substream, sweep,
-                         threshold_for)
+                         compute_scales, detect, draw_channels, energy_statistics,
+                         estimate_ber, generator, params_at_snr, run_trial, sim, substream,
+                         sweep, threshold_for)
 from backscatter.core import complex_normal
 from backscatter.detector import energy_scales
 from backscatter.exact import sigma0, sigma1
@@ -30,6 +30,16 @@ def gamma_survival(shape, mean, x):
     """P(G > x) for a Gamma with integer shape; exact finite sum."""
     rate_x = shape * x / mean
     return math.exp(-rate_x) * sum(rate_x ** j / math.factorial(j) for j in range(shape))
+
+
+def fisher_exact(k1, n1, k2, n2):
+    """Two-sided Fisher exact p-value of one error rate behind k1 of n1 and k2 of n2."""
+    k = k1 + k2
+    x = np.arange(max(0, k - n2), min(k, n1) + 1)
+    lg = np.vectorize(math.lgamma)
+    logp = -lg(x + 1) - lg(n1 - x + 1) - lg(k - x + 1) - lg(n2 - k + x + 1)
+    weights = np.exp(logp - logp.max())
+    return min(1.0, weights[weights <= weights[k1 - x[0]] * (1 + 1e-7)].sum() / weights.sum())
 
 
 # ------------------------------------------------------------- single trial
@@ -184,6 +194,31 @@ def test_fixed_mode_reports_model_prediction_redraw_does_not():
     assert redraw.analytic_ber is None
 
 
+def test_redraw_kernel_error_rate_matches_the_chain():
+    # redraw mode at a point with a BER near 0.13: the kernel's error count
+    # and that of run_trial, on channels, bits and noise from a disjoint
+    # stream, agree under Fisher's exact test at a false-alarm rate of 1e-4
+    # over both threshold kinds
+    p = small_params(trials=20_000)
+    q = params_at_snr(p, 6.0)
+    root = np.random.SeedSequence(47)
+    n = 6000
+    chain_errors = dict.fromkeys(ThresholdKind, 0)
+    for t in range(n):
+        rng = generator(substream(root, 1, t))
+        ch = draw_channels(q, rng)
+        bit = int(rng.integers(0, 2))
+        scales = compute_scales(q, ch)
+        stat = run_trial(q, ch, bit, 0.0, rng).statistic
+        for kind in ThresholdKind:
+            chain_errors[kind] += detect(stat, threshold_for(kind, scales, q.window)) != bit
+    for kind in ThresholdKind:
+        rec = estimate_ber(p, kind, ChannelMode.REDRAW_PER_TRIAL, 6.0, substream(root, 0))
+        assert 0.05 < rec.empirical_ber < 0.4
+        errors = round(rec.empirical_ber * rec.trials)
+        assert fisher_exact(errors, rec.trials, chain_errors[kind], n) > 5e-5
+
+
 def test_estimate_is_reproducible_and_worker_invariant():
     p = make_params(trials=600, window=4)
     args = (p, ThresholdKind.OPTIMAL, ChannelMode.REDRAW_PER_TRIAL, 10.0)
@@ -270,17 +305,19 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
     # replay the documented layout one trial at a time: block b of a point
     # draws from an SFC64 generator on substream(point, 1, b), in order, the
     # block's bits, in redraw mode each trial's tag then reflect taps, then
-    # each trial's window normals of power 1 / window; the trial decides 1
-    # when |chol(Sigma_bit) u|^2 exceeds its threshold over the noise floor.
+    # each trial's window normals u of power 1 / window; the trial decides 1
+    # when Re(u^H Sigma_bit u) exceeds its threshold over the noise floor.
     # Fixed channels come from generator(substream(point, 0)). Three blocks,
-    # the last one short, which the kernel runs as one batch.
+    # the last one short, which the kernel runs as one batch. At this point
+    # |chol(Sigma_bit) u|^2, which has the same law, decides some trial
+    # otherwise in every case, so the replay pins the map and not only the law.
     p = small_params(trials=2 * TRIAL_BLOCK + 9)
-    q = params_at_snr(p, 8.0)
+    q = params_at_snr(p, 14.0)
     assert sim._batch_blocks(q) >= 3
-    point = np.random.SeedSequence(23)
+    point = np.random.SeedSequence(8)
     w, width = q.window, q.tag_order + 1
     fixed = draw_channels(q, generator(substream(point, 0)))
-    errors = 0
+    errors = chol_errors = 0
     for block in range(3):
         rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
         n = min(TRIAL_BLOCK, q.trials - block * TRIAL_BLOCK)
@@ -294,8 +331,10 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
             scales = compute_scales(q, ch)
             th = threshold_for(kind, scales, w) / scales.noise_floor
             cov = sigma1(q, ch.tag[None], ch.reflect[None])[0] if bit else sigma0(q)
-            errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
-    rec = estimate_ber(p, kind, mode, 8.0, point)
+            errors += (np.vdot(u, cov @ u).real > th) != bit
+            chol_errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
+    assert chol_errors != errors
+    rec = estimate_ber(p, kind, mode, 14.0, point)
     assert rec.empirical_ber == errors / q.trials
 
 
@@ -412,6 +451,22 @@ def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     with pytest.raises(error) as got:
         estimate_ber(q, kind, ChannelMode.REDRAW_PER_TRIAL, 20.0, point)
     assert type(got.value) is error and str(got.value) == str(want)
+
+
+def test_pool_raises_the_serial_error():
+    # the second cell overflows in every block, first at trial 11 of block 0,
+    # and each of two workers' chunks raises at its own first bad trial: the
+    # pool raises the first chunk's error, the one a serial sweep raises.
+    # A floor below 1 overflows lift / floor while the lift, which the
+    # message names, is still finite.
+    p = small_params(trials=4 * TRIAL_BLOCK, noise_power=1e-6, tag_gain=3e152)
+    args = (p, [10.0, 20.0], [4], [ThresholdKind.OPTIMAL], ChannelMode.REDRAW_PER_TRIAL)
+    with pytest.raises(ValueError, match=r"signal_lift=\d\S* over .* overflows") as serial:
+        sweep(*args, np.random.SeedSequence(53))
+    with pytest.raises(ValueError) as forked:
+        sweep(*args, np.random.SeedSequence(53), workers=2)
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
 
 
 @pytest.mark.parametrize("window", [0, 57])
