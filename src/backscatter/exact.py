@@ -105,29 +105,29 @@ def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.nda
     Every product is a stack of one small product per realization: one
     product for the whole stack would be large enough for OpenBLAS to start
     its threads, which cost more CPU than they save here.
+
+    A lift/floor within a few orders of the largest double can overflow
+    entries to inf or nan, without a warning. Every threshold lies below 40
+    noise floors there, and the statistic's bit-1 mean far above it, so the
+    kernel decides 1 wherever the statistic is not finite.
     """
     m, k = tag.shape
     w = params.window
     f = _dft_rows(params.block_len, w)
-    # rho[:, d] = sum_j tag[j + d] conj(tag[j]) for d = 0 .. k - 1. The lag
-    # gather is laid out trial-last with a stride of at least two trials, as
-    # numpy lays out the gather of two or more: the product then runs in
-    # numpy's own loop, never BLAS, so a realization's Sigma_1 does not depend
-    # on how many others share its stack. The indices are in range; with
-    # mode="clip" take writes into the strided out without a buffer.
+    # rho[:, d] = sum_j tag[j + d] conj(tag[j]) for d = 0 .. k - 1
     padded = np.concatenate([tag, np.zeros_like(tag)], axis=1)
-    lagged = np.empty((k, k, max(m, 2)), dtype=np.complex128)[:, :, :m].transpose(2, 0, 1)
-    np.take(padded, np.add.outer(range(k), range(k)), axis=1, out=lagged, mode="clip")
+    lagged = np.take(padded, np.add.outer(range(k), range(k)), axis=1)
     rho = np.matmul(lagged, tag.conj()[:, :, None])[:, :, 0]
     half = np.matmul(rho[:, None, :], _lag_maps(params.block_len, w, k - 1)).reshape(m, w, w)
     floor = energy_scales(params, 0.0, 0.0).noise_floor
     amp = abs(params.tag_gain) * (math.sqrt(params.source_power) / math.sqrt(floor))
     v = amp * np.matmul(reflect[:, None, :], f[:, :reflect.shape[1]].T)
-    # x = v^T * half * conj(v), then (sigma0 + x) + x^H, in two stacks. No
-    # product writes over its own input: numpy may take another loop for
-    # that, which rounds differently when the loop is one element long.
-    out = v.transpose(0, 2, 1) * half
-    x = np.multiply(out, v.conj(), out=half)
-    np.add(sigma0(params), x, out=out)
-    out += np.conjugate(x, out=x).transpose(0, 2, 1)
+    # x = v^T * half * conj(v), then (sigma0 + x) + x^H, in two stacks: each
+    # step writes into a stack already held, so a block holds at most two
+    # (m, w, w) stacks, not a fresh one per step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v.transpose(0, 2, 1) * half
+        x = np.multiply(out, v.conj(), out=half)
+        np.add(sigma0(params), x, out=out)
+        out += np.conjugate(x, out=x).transpose(0, 2, 1)
     return out

@@ -8,15 +8,15 @@ running the frame chain; :func:`run_trial` keeps the chain as the reference
 that the tests and the benchmark's correctness check compare it against.
 Statistic and threshold are in units of the noise floor.
 
-The trials of a point run in fixed blocks of :data:`TRIAL_BLOCK`; each block
-draws from its own SFC64 stream keyed (seed, point, 1, block): first the
-block's bits, then in redraw mode each trial's tag and reflect taps, then
-each trial's ``window`` normals. A fixed channel realization comes from the
-PCG64 stream (seed, point, 0). Workers take whole blocks. The draws stay per
-block, while thresholds, covariances and statistics are computed once per
-batch of whole blocks, sized by :data:`BATCH_BYTES`. Each trial's values do
-not depend on the batch it shares, so results are identical for any worker
-count, chunking or batch size, and aggregation is a plain error-count sum.
+The trials of a point run in blocks of :func:`_block_trials` trials, sized
+so that a block's per-trial arrays fit :data:`BLOCK_BYTES`. Each block draws
+from its own SFC64 stream keyed (seed, point, 1, block): first the block's
+bits, then in redraw mode each trial's tag and reflect taps, then each
+trial's ``window`` normals; it then computes its thresholds, covariances and
+statistics on its own. A fixed channel realization comes from the PCG64
+stream (seed, point, 0). Workers take whole blocks, so every value is
+computed on the same arrays for any worker count and aggregation is a plain
+error-count sum.
 """
 from __future__ import annotations
 
@@ -38,15 +38,11 @@ from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
 
-# Trials per random stream. Setting up a stream (SeedSequence + SFC64) costs
-# a few tens of microseconds, under 1 us per trial when shared by 50 trials,
-# and a 100-trial point still splits into two blocks for two workers.
-TRIAL_BLOCK = 50
-
-# Bytes of per-trial arrays that one batch of whole blocks may hold. Numpy
-# allocations past glibc's 128 KiB mmap threshold are faulted in afresh on
-# every call, so a batch's largest arrays stay near that size.
-BATCH_BYTES = 1024 * 1024
+# Bytes of per-trial arrays that one trial block may hold: enough trials to
+# share the set-up of the block's stream (SeedSequence + SFC64, a few tens of
+# microseconds), few enough that its largest arrays stay near glibc's 128 KiB
+# mmap threshold, past which numpy allocations are faulted in afresh on every call.
+BLOCK_BYTES = 1024 * 1024
 
 
 class ChannelMode(Enum):
@@ -128,12 +124,12 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
     return threshold_for(kind, scales, params.window) / scales.noise_floor
 
 
-def _batch_blocks(params: SystemParams) -> int:
-    """Whole trial blocks per batch, so that a batch's per-trial arrays fit BATCH_BYTES."""
+def _block_trials(params: SystemParams) -> int:
+    """Trials per block, so that a block's per-trial arrays fit BLOCK_BYTES."""
     w, k = params.window, params.tag_order + 1
     # complex128 words alive per trial: sigma1's two (w, w) stacks, its lag gather, taps, u, y
     words = 2 * w * w + k * k + 2 * (k + params.reflect_order + 1) + 4 * w
-    return max(1, BATCH_BYTES // (16 * words * TRIAL_BLOCK))
+    return max(1, BLOCK_BYTES // (16 * words))
 
 
 def _count_errors(params: SystemParams, kind: ThresholdKind,
@@ -144,38 +140,29 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
     ``law`` is the fixed realization's threshold and ``Sigma_1``, in
     noise-floor units; without it every trial draws its own taps and gets
     both from them. A trial's statistic is ``Re(u^H Sigma_bit u)`` of its
-    ``window`` normals ``u`` (power ``1 / window``), summed in real arithmetic
-    so that its rounding cannot depend on the batch. Each block draws from its
-    own stream; the rest runs once per batch of :func:`_batch_blocks` blocks.
+    ``window`` normals ``u`` (power ``1 / window``), summed in real
+    arithmetic; one that is not finite decides 1. Each block draws from its
+    own stream and is computed alone.
     """
     w, width = params.window, params.tag_order + 1
-    taps_per_trial = width + params.reflect_order + 1 if law is None else 0
-    step = _batch_blocks(params)
+    size = _block_trials(params)
     errors = 0
-    for start in range(first, last, step):
-        blocks = range(start, min(start + step, last))
-        sizes = [min(TRIAL_BLOCK, params.trials - block * TRIAL_BLOCK) for block in blocks]
-        m = sum(sizes)
-        bits = np.empty(m, dtype=bool)
-        taps = np.empty((m, taps_per_trial), dtype=np.complex128)
-        u = np.empty((m, w, 1), dtype=np.complex128)
-        at = 0
-        for block, n in zip(blocks, sizes):
-            rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
-            bits[at:at + n] = rng.integers(0, 2, n) == 1
-            if law is None:
-                complex_normal(rng, n * taps_per_trial, 1.0, out=taps[at:at + n].reshape(-1))
-            complex_normal(rng, n * w, 1.0 / w, out=u[at:at + n].reshape(-1))
-            at += n
+    for block in range(first, last):
+        n = min(size, params.trials - block * size)
+        rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+        bits = rng.integers(0, 2, n) == 1
         if law is None:
+            taps = complex_normal(rng, n * (width + params.reflect_order + 1), 1.0).reshape(n, -1)
             threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
             cov1 = sigma1(params, taps[bits, :width], taps[bits, width:])
         else:
             threshold, cov1 = law
-        y = np.matmul(sigma0(params), u)
-        y[bits] = np.matmul(cov1, u[bits])
-        stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=(1, 2))
-        errors += int(np.count_nonzero((stat > threshold) != bits))
+        u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w, 1)
+        with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
+            y = np.matmul(sigma0(params), u)
+            y[bits] = np.matmul(cov1, u[bits])
+            stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=(1, 2))
+        errors += int(np.count_nonzero(~(stat <= threshold) != bits))
     return errors
 
 
@@ -204,7 +191,7 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
                sigma1(p, channels.tag[None], channels.reflect[None]))
 
     n = p.trials
-    blocks = (n + TRIAL_BLOCK - 1) // TRIAL_BLOCK
+    blocks = -(-n // _block_trials(p))
     count = partial(_count_errors, p, kind, law, stream)
     if workers <= 1:
         errors = count(0, blocks)

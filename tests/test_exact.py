@@ -56,17 +56,3 @@ def test_sigma1_of_no_realization_is_empty():
     tag = np.zeros((0, p.tag_order + 1), dtype=complex)
     reflect = np.zeros((0, p.reflect_order + 1), dtype=complex)
     assert exact.sigma1(p, tag, reflect).shape == (0, p.window, p.window)
-
-
-@pytest.mark.parametrize("window", [1, 2, 8, 16])
-def test_sigma1_does_not_depend_on_its_stack(window):
-    # the kernel builds Sigma_1 over batches whose size depends on the chunk,
-    # so each realization's matrix must not depend on the others, bit for bit
-    p = make_params(window=window)
-    rng = np.random.default_rng(57)
-    tag = complex_normal(rng, 7 * (p.tag_order + 1), 1.0).reshape(7, -1)
-    reflect = complex_normal(rng, 7 * (p.reflect_order + 1), 1.0).reshape(7, -1)
-    stack = exact.sigma1(p, tag, reflect)
-    for i in range(7):
-        assert exact.sigma1(p, tag[i:i + 1], reflect[i:i + 1]).tobytes() == stack[i].tobytes()
-        assert exact.sigma1(p, tag[i:], reflect[i:])[0].tobytes() == stack[i].tobytes()

@@ -20,7 +20,6 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
 from backscatter.core import complex_normal
 from backscatter.detector import energy_scales
 from backscatter.exact import sigma0, sigma1
-from backscatter.sim import TRIAL_BLOCK
 from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
 
 small_params = partial(make_params, **SHORT)
@@ -255,11 +254,13 @@ def test_sweep_rejects_empty_axes():
 
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_sweep_records_are_worker_invariant(mode):
-    # fewer trials than workers or than one stream block, and a count that is
+    # fewer trials than workers or than one trial block, and a count that is
     # not a multiple of it: workers take whole blocks, so the split never
-    # shows in a record
-    assert 40 < TRIAL_BLOCK and (2 * TRIAL_BLOCK + 7) % TRIAL_BLOCK
-    for trials in (3, 40, 2 * TRIAL_BLOCK + 7):
+    # shows in a record. b is the W=4 block; W=2 blocks are longer, and the
+    # last count still runs W=2 as two blocks, the last one short.
+    b = sim._block_trials(small_params())
+    assert 40 < b and (2 * b + 7) % b and (2 * b + 7) % sim._block_trials(small_params(window=2))
+    for trials in (3, 40, 2 * b + 7):
         p = small_params(trials=trials)
         args = (p, [6.0, 12.0], [2, 4], [ThresholdKind.OPTIMAL], mode)
         serial = sweep(*args, np.random.SeedSequence(19))
@@ -285,14 +286,14 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
             return super().map(fn, *zip(*ranges), **kwargs)
 
     monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
-    for trials, workers, used in ((3, 2, 1), (40, 2, 1), (2 * TRIAL_BLOCK + 7, 2, 2),
-                                  (2 * TRIAL_BLOCK + 7, 4, 3)):
+    b = sim._block_trials(small_params())
+    for trials, workers, used in ((3, 2, 1), (40, 2, 1), (2 * b + 7, 2, 2), (2 * b + 7, 4, 3)):
         p = small_params(trials=trials)
         args = (p, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 8.0)
         serial = estimate_ber(*args, np.random.SeedSequence(29))
         pools.clear()
         assert estimate_ber(*args, np.random.SeedSequence(29), workers=workers) == serial
-        blocks = -(-trials // TRIAL_BLOCK)
+        blocks = -(-trials // b)
         assert [pool["workers"] for pool in pools] == [used]
         ranges = pools[0]["ranges"]
         assert len(ranges) == used and all(first < last for first, last in ranges)
@@ -307,20 +308,20 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
     # block's bits, in redraw mode each trial's tag then reflect taps, then
     # each trial's window normals u of power 1 / window; the trial decides 1
     # when Re(u^H Sigma_bit u) exceeds its threshold over the noise floor.
-    # Fixed channels come from generator(substream(point, 0)). Three blocks,
-    # the last one short, which the kernel runs as one batch. At this point
-    # |chol(Sigma_bit) u|^2, which has the same law, decides some trial
-    # otherwise in every case, so the replay pins the map and not only the law.
-    p = small_params(trials=2 * TRIAL_BLOCK + 9)
+    # Fixed channels come from generator(substream(point, 0)). Three blocks
+    # of b trials, the last one short. At this point |chol(Sigma_bit) u|^2,
+    # which has the same law, decides some trial otherwise in every case, so
+    # the replay pins the map and not only the law.
+    b = sim._block_trials(small_params())
+    p = small_params(trials=2 * b + 9)
     q = params_at_snr(p, 14.0)
-    assert sim._batch_blocks(q) >= 3
     point = np.random.SeedSequence(8)
     w, width = q.window, q.tag_order + 1
     fixed = draw_channels(q, generator(substream(point, 0)))
     errors = chol_errors = 0
     for block in range(3):
         rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
-        n = min(TRIAL_BLOCK, q.trials - block * TRIAL_BLOCK)
+        n = min(b, q.trials - block * b)
         bits = rng.integers(0, 2, n)
         channels = [fixed] * n
         if mode is ChannelMode.REDRAW_PER_TRIAL:
@@ -340,30 +341,39 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
 
 @pytest.mark.parametrize("window", [2, 16])
 @pytest.mark.parametrize("mode", list(ChannelMode))
-def test_records_do_not_depend_on_the_batch(monkeypatch, mode, window):
-    # a budget of one byte runs every block as its own batch; the default
-    # runs W=2 in batches of several blocks and W=16 one block at a time,
-    # with a short last block either way
-    p = make_params(trials=3 * TRIAL_BLOCK + 7, window=window)
-    batch = sim._batch_blocks(p)
-    assert batch >= 4 if window == 2 else batch == 1
-    args = (p, [6.0, 14.0], [window], list(ThresholdKind), mode)
-    batched = sweep(*args, np.random.SeedSequence(37))
-    monkeypatch.setattr(sim, "BATCH_BYTES", 1)
-    assert sim._batch_blocks(p) == 1
-    assert sweep(*args, np.random.SeedSequence(37)) == batched
+def test_blocks_are_computed_alone(mode, window):
+    # worker invariance rests on each block being computed alone: the count
+    # over all blocks is the sum of the blocks' own counts, and the record
+    # is the same for one, two and three workers, with a short last block
+    kind = ThresholdKind.OPTIMAL
+    b = sim._block_trials(make_params(window=window))
+    q = params_at_snr(make_params(window=window, trials=3 * b + 7), 14.0)
+    point = np.random.SeedSequence(37)
+    law = None
+    if mode is ChannelMode.FIXED_REALIZATION:
+        ch = draw_channels(q, generator(substream(point, 0)))
+        scales = compute_scales(q, ch)
+        law = (threshold_for(kind, scales, window) / scales.noise_floor,
+               sigma1(q, ch.tag[None], ch.reflect[None]))
+    errors = sim._count_errors(q, kind, law, point, 0, 4)
+    assert errors == sum(sim._count_errors(q, kind, law, point, k, k + 1) for k in range(4))
+    serial = estimate_ber(q, kind, mode, 14.0, point)
+    assert serial.empirical_ber == errors / q.trials
+    for workers in (2, 3):
+        assert estimate_ber(q, kind, mode, 14.0, point, workers=workers) == serial
 
 
 @pytest.mark.parametrize("window", [2, 8, 16])
-def test_kernel_memory_is_bounded_per_batch(window):
+def test_kernel_memory_is_bounded_per_block(window):
     # the peak of numpy's traced allocations over a redraw chunk is set by
-    # one batch, not by the chunk: 100 blocks peak no higher than 20, up to
-    # the spread of the bit-1 count between batches
+    # one block, not by the chunk: 100 blocks peak no higher than 20, up to
+    # the spread of the bit-1 count between blocks
     kind = ThresholdKind.OPTIMAL
     point = np.random.SeedSequence(41)
+    b = sim._block_trials(make_params(window=window))
     peaks = []
     for blocks in (20, 100):
-        q = params_at_snr(make_params(trials=blocks * TRIAL_BLOCK, window=window), 20.0)
+        q = params_at_snr(make_params(trials=blocks * b, window=window), 20.0)
         sim._count_errors(q, kind, None, point, 0, 1)      # fill the per-geometry caches
         tracemalloc.start()
         try:
@@ -434,13 +444,13 @@ def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energi
 def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     # zero gain has no lift in any trial; at 1e151 only trials with large tap
     # energies overflow, so the first bad trial is not the first trial
-    q = params_at_snr(make_params(tag_gain=gain, trials=2 * TRIAL_BLOCK), 20.0)
+    b = sim._block_trials(make_params())
+    q = params_at_snr(make_params(tag_gain=gain, trials=2 * b), 20.0)
     width = q.tag_order + 1
-    point = np.random.SeedSequence(41)
+    point = np.random.SeedSequence(42)
     rng = np.random.Generator(np.random.SFC64(substream(point, 1, 0)))
-    rng.integers(0, 2, TRIAL_BLOCK)     # the block's bits come first
-    taps = complex_normal(rng, TRIAL_BLOCK * (width + q.reflect_order + 1), 1.0)
-    taps = taps.reshape(TRIAL_BLOCK, -1)
+    rng.integers(0, 2, b)       # the block's bits come first
+    taps = complex_normal(rng, b * (width + q.reflect_order + 1), 1.0).reshape(b, -1)
     want = scalar_error(q, kind, taps, width)
     assert type(want) is error
     if gain:
@@ -454,12 +464,13 @@ def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
 
 
 def test_pool_raises_the_serial_error():
-    # the second cell overflows in every block, first at trial 11 of block 0,
-    # and each of two workers' chunks raises at its own first bad trial: the
-    # pool raises the first chunk's error, the one a serial sweep raises.
-    # A floor below 1 overflows lift / floor while the lift, which the
-    # message names, is still finite.
-    p = small_params(trials=4 * TRIAL_BLOCK, noise_power=1e-6, tag_gain=3e152)
+    # the second cell overflows in each of its four blocks, first at trial 11
+    # of block 0, and each of two workers' chunks of two blocks raises at its
+    # own first bad trial: the pool raises the first chunk's error, the one a
+    # serial sweep raises. A floor below 1 overflows lift / floor while the
+    # lift, which the message names, is still finite.
+    p = small_params(trials=4 * sim._block_trials(small_params()), noise_power=1e-6,
+                     tag_gain=3e152)
     args = (p, [10.0, 20.0], [4], [ThresholdKind.OPTIMAL], ChannelMode.REDRAW_PER_TRIAL)
     with pytest.raises(ValueError, match=r"signal_lift=\d\S* over .* overflows") as serial:
         sweep(*args, np.random.SeedSequence(53))
@@ -467,6 +478,23 @@ def test_pool_raises_the_serial_error():
         sweep(*args, np.random.SeedSequence(53), workers=2)
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value)
+
+
+def test_statistics_past_the_largest_double_decide_one():
+    # lift/floor near 1e307 overflows some bit-1 trials' Sigma_1, which
+    # makes their statistics inf or nan; the exact statistic lies hundreds
+    # of orders of magnitude above the threshold of about 20 noise floors,
+    # and a bit-0 statistic almost never reaches it, so the point makes no error
+    b = sim._block_trials(small_params())
+    q = params_at_snr(small_params(trials=b, noise_power=1e-6, tag_gain=3e152), 10.0)
+    width = q.tag_order + 1
+    point = np.random.SeedSequence(59)
+    rng = np.random.Generator(np.random.SFC64(substream(point, 1, 0)))
+    bits = rng.integers(0, 2, b) == 1
+    taps = complex_normal(rng, b * (width + q.reflect_order + 1), 1.0).reshape(b, -1)
+    assert not np.isfinite(sigma1(q, taps[bits, :width], taps[bits, width:])).all()
+    rec = estimate_ber(q, ThresholdKind.OPTIMAL, ChannelMode.REDRAW_PER_TRIAL, 10.0, point)
+    assert rec.empirical_ber == 0
 
 
 @pytest.mark.parametrize("window", [0, 57])
