@@ -20,10 +20,14 @@ exactly ``CN(0, Sigma_bit)`` with
 :func:`sigma0` and :func:`sigma1` return these in units of the noise floor
 ``2 * cancel_len * noise_power``, the silent-tag mean of the statistic
 (:func:`backscatter.detector.energy_scales`), so no power scale enters a
-matrix product. ``sigma1`` builds ``R R^H`` in lag form,
-``|tag_gain|^2 diag(H_r) (sum_d rho(d) M_d) diag(H_r)^H``, from the tag's
-autocorrelation ``rho`` and the fixed matrices ``M_d = F_W J_d F_W^H``
-(``J_d`` the shift by ``d``), without forming ``R``.
+matrix product. ``R R^H = |tag_gain|^2 diag(H_r) (sum_d rho(d) M_d) diag(H_r)^H``
+for the tag's autocorrelation ``rho`` and ``M_d = F_W J_d F_W^H`` (``J_d`` the
+shift by d). With ``w = exp(-2 pi i / block_len)``, ``Omega[d, p] = w^(pd)`` and
+the Hermitian ``C[p, q] = 1 / (1 - w^(p - q))``, 0 on the diagonal, ``M_d =
+diag(Omega[d]) C - C diag(Omega[d]) + (block_len - d) diag(Omega[d])``, and 0 for
+``d >= block_len``, as the gate's samples lie less than ``block_len`` apart. So
+:func:`signal_form` gives a redrawn bit-1 trial's ``Re(u^H (Sigma_1 - Sigma_0) u)``
+from the tag's lag spectra, ``window`` numbers each, without forming ``Sigma_1``.
 """
 from __future__ import annotations
 
@@ -72,9 +76,7 @@ def sigma0(params: SystemParams) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _sigma0(block_len: int, reflect_order: int, window: int) -> np.ndarray:
     # F_W F_W^H is exactly block_len times the identity; only the folded
-    # samples' part is multiplied out. The cached products use einsum: a 2-D
-    # BLAS product would start OpenBLAS's threads in every process that
-    # builds them, pool workers included.
+    # samples' part is multiplied out, by einsum, which never runs on OpenBLAS's threads
     f = _dft_rows(block_len, window)[:, :reflect_order]
     s = (block_len * np.eye(window) + np.einsum("pi,qi->pq", f, f.conj())) / (
         block_len + reflect_order)
@@ -83,51 +85,61 @@ def _sigma0(block_len: int, reflect_order: int, window: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _lag_maps(block_len: int, window: int, tag_order: int) -> np.ndarray:
-    """Read-only ``(tag_order + 1, window * window)``: ``M_0 / 2``, then ``M_d`` for d >= 1.
+def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``(Omega, Omega_n, C)``; ``Omega_n[d] = (block_len - d) Omega[d]``,
+    row 0 halved, so that ``sum_d rho(d) M_d = K + K^H`` (:func:`sigma1`)."""
+    d = np.arange(tag_order + 1)[:, None]
+    omega = np.where(d < block_len, np.exp(-2j * np.pi * (d * np.arange(window)) / block_len), 0)
+    omega_n = np.where(d == 0, block_len / 2, block_len - d) * omega
+    lag = np.subtract.outer(np.arange(window), np.arange(window))
+    c = np.divide(1, 1 - np.exp(-2j * np.pi * lag / block_len),
+                  out=np.zeros((window, window), dtype=complex), where=lag != 0)
+    for table in (omega, omega_n, c):
+        table.setflags(write=False)
+    return omega, omega_n, c
 
-    With ``rho(-d) = conj(rho(d))`` and ``M_{-d} = M_d^H``, the lag sum is
-    ``K + K^H`` for ``K = rho(0) M_0 / 2 + sum_{d >= 1} rho(d) M_d``.
-    """
-    f = _dft_rows(block_len, window)
-    maps = np.stack([np.einsum("pi,qi->pq", f[:, d:], f[:, :block_len - d].conj())
-                     for d in range(tag_order + 1)])
-    maps[0] /= 2
-    maps = maps.reshape(tag_order + 1, window * window)
-    maps.setflags(write=False)
-    return maps
 
-
-def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.ndarray:
-    """``Sigma_1 / floor`` for tap sets stacked on the leading axis, ``(m, window, window)``.
-
-    ``tag`` is ``(m, tag_order + 1)`` and ``reflect`` ``(m, reflect_order + 1)``.
-    Every product is a stack of one small product per realization: one
-    product for the whole stack would be large enough for OpenBLAS to start
-    its threads, which cost more CPU than they save here.
-
-    A lift/floor within a few orders of the largest double can overflow
-    entries to inf or nan, without a warning. Every threshold lies below 40
-    noise floors there, and the statistic's bit-1 mean far above it, so the
-    kernel decides 1 wherever the statistic is not finite.
-    """
-    m, k = tag.shape
-    w = params.window
-    f = _dft_rows(params.block_len, w)
+def _spectra(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> tuple:
+    """``(h, h_n, H_r, C, amp)``: ``h = rho Omega``, ``h_n = rho Omega_n`` per stacked row."""
+    k = tag.shape[1]
+    omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
     # rho[:, d] = sum_j tag[j + d] conj(tag[j]) for d = 0 .. k - 1
     padded = np.concatenate([tag, np.zeros_like(tag)], axis=1)
     lagged = np.take(padded, np.add.outer(range(k), range(k)), axis=1)
     rho = np.matmul(lagged, tag.conj()[:, :, None])[:, :, 0]
-    half = np.matmul(rho[:, None, :], _lag_maps(params.block_len, w, k - 1)).reshape(m, w, w)
+    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[1]].T
     floor = energy_scales(params, 0.0, 0.0).noise_floor
     amp = abs(params.tag_gain) * (math.sqrt(params.source_power) / math.sqrt(floor))
-    v = amp * np.matmul(reflect[:, None, :], f[:, :reflect.shape[1]].T)
-    # x = v^T * half * conj(v), then (sigma0 + x) + x^H, in two stacks: each
-    # step writes into a stack already held, so a block holds at most two
-    # (m, w, w) stacks, not a fresh one per step.
+    return rho @ omega, rho @ omega_n, h_r, c, amp
+
+
+def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+    """``Sigma_1 / floor``, ``(m, window, window)``, for tap sets stacked on the leading axis.
+
+    It is ``Sigma_0 + amp^2 diag(H_r) (K + K^H) diag(H_r)^H``, with ``K[p, q] =
+    (h_p - h_q) C[p, q] + delta_pq h_n,p``. A lift/floor within a few orders of
+    the largest double can overflow entries to inf or nan; every threshold lies
+    below 40 noise floors there, so the kernel decides 1 where a statistic is not finite.
+    """
+    h, h_n, h_r, c, amp = _spectra(params, tag, reflect)
+    k = (h[:, :, None] - h[:, None, :]) * c + h_n[:, :, None] * np.eye(params.window)
+    x = h_r[:, :, None] * k * h_r.conj()[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = v.transpose(0, 2, 1) * half
-        x = np.multiply(out, v.conj(), out=half)
-        np.add(sigma0(params), x, out=out)
-        out += np.conjugate(x, out=x).transpose(0, 2, 1)
-    return out
+        return sigma0(params) + amp * (amp * (x + x.conj().transpose(0, 2, 1)))
+
+
+def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """``Re(u^H (Sigma_1 - Sigma_0) u)`` for stacked tap sets and ``(m, window)`` normals.
+
+    With ``b = conj(H_r) u`` and ``z = C b`` it is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 -
+    4 Im(h_p) Im(conj(b_p) z_p)]``, ``O(window^2 + k window)`` work per trial; as
+    ``amp`` multiplies the sum last, the form overflows only to ``+inf``.
+    """
+    h, h_n, h_r, c, amp = _spectra(params, tag, reflect)
+    b = h_r.conj() * u
+    z = b @ c.T
+    form = (2 * h_n.real * (b.real ** 2 + b.imag ** 2)
+            - 4 * h.imag * (b.real * z.imag - b.imag * z.real)).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return amp * (amp * form)

@@ -6,17 +6,17 @@ fixed bit and channel realization those bins are exactly ``CN(0, Sigma_bit)``
 for white ``u ~ CN(0, I / window)``, which the engine evaluates instead of
 running the frame chain; :func:`run_trial` keeps the chain as the reference
 that the tests and the benchmark's correctness check compare it against.
-Statistic and threshold are in units of the noise floor.
+Statistic and threshold are in units of the noise floor; a redrawn bit-1
+trial's is ``u^H Sigma_0 u`` plus :func:`backscatter.exact.signal_form`.
 
-The trials of a point run in blocks of :func:`_block_trials` trials, sized
-so that a block's per-trial arrays fit :data:`BLOCK_BYTES`. Each block draws
-from its own SFC64 stream keyed (seed, point, 1, block): first the block's
-bits, then in redraw mode each trial's tag and reflect taps, then each
-trial's ``window`` normals; it then computes its thresholds, covariances and
-statistics on its own. A fixed channel realization comes from the PCG64
-stream (seed, point, 0). Workers take whole blocks, so every value is
-computed on the same arrays for any worker count and aggregation is a plain
-error-count sum.
+The trials of a point run in blocks of :func:`_block_trials` trials. Each
+block draws from its own SFC64 stream keyed (seed, point, 1, block): first
+its bits, then in redraw mode each trial's tag and reflect taps, then each
+trial's ``window`` normals, and it computes its thresholds and statistics on
+its own, so block sizes are part of the stream layout. A fixed channel
+realization comes from the PCG64 stream (seed, point, 0). Workers take whole
+blocks, so every value is computed on the same arrays for any worker count
+and aggregation is a plain error-count sum.
 """
 from __future__ import annotations
 
@@ -33,15 +33,13 @@ from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_n
                    derive_params, draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
-from .exact import sigma0, sigma1
+from .exact import sigma0, sigma1, signal_form
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
 
-# Bytes of per-trial arrays that one trial block may hold: enough trials to
-# share the set-up of the block's stream (SeedSequence + SFC64, a few tens of
-# microseconds), few enough that its largest arrays stay near glibc's 128 KiB
-# mmap threshold, past which numpy allocations are faulted in afresh on every call.
+# Bytes of one trial block's per-trial arrays as an earlier kernel held them: enough trials
+# to share the set-up of the block's stream (SeedSequence + SFC64, tens of microseconds).
 BLOCK_BYTES = 1024 * 1024
 
 
@@ -125,9 +123,9 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
 
 
 def _block_trials(params: SystemParams) -> int:
-    """Trials per block, so that a block's per-trial arrays fit BLOCK_BYTES."""
+    """Trials per block: BLOCK_BYTES over an earlier kernel's per-trial words (two (w, w)
+    stacks, a lag gather, taps, u, y), kept since block sizes are part of the stream layout."""
     w, k = params.window, params.tag_order + 1
-    # complex128 words alive per trial: sigma1's two (w, w) stacks, its lag gather, taps, u, y
     words = 2 * w * w + k * k + 2 * (k + params.reflect_order + 1) + 4 * w
     return max(1, BLOCK_BYTES // (16 * words))
 
@@ -138,11 +136,10 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
     """Errors over trial blocks [first, last); the chunk worker.
 
     ``law`` is the fixed realization's threshold and ``Sigma_1``, in
-    noise-floor units; without it every trial draws its own taps and gets
-    both from them. A trial's statistic is ``Re(u^H Sigma_bit u)`` of its
-    ``window`` normals ``u`` (power ``1 / window``), summed in real
-    arithmetic; one that is not finite decides 1. Each block draws from its
-    own stream and is computed alone.
+    noise-floor units; without it every trial draws its own taps, gets its
+    threshold from them and adds its bit-1 signal form to ``Re(u^H Sigma_0 u)``.
+    A statistic that is not finite decides 1. Each block draws from its own
+    stream and is computed alone.
     """
     w, width = params.window, params.tag_order + 1
     size = _block_trials(params)
@@ -154,14 +151,17 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
         if law is None:
             taps = complex_normal(rng, n * (width + params.reflect_order + 1), 1.0).reshape(n, -1)
             threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
-            cov1 = sigma1(params, taps[bits, :width], taps[bits, width:])
         else:
             threshold, cov1 = law
         u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w, 1)
         with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
             y = np.matmul(sigma0(params), u)
-            y[bits] = np.matmul(cov1, u[bits])
+            if law is not None:
+                y[bits] = np.matmul(cov1, u[bits])
             stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=(1, 2))
+            if law is None:
+                stat[bits] += signal_form(params, taps[bits, :width], taps[bits, width:],
+                                          u[bits, :, 0])
         errors += int(np.count_nonzero(~(stat <= threshold) != bits))
     return errors
 
@@ -174,8 +174,8 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     Fixed mode draws one channel realization up front (substream 0 of the
     point), computes the threshold and the law of its bins once and reports
     the matching Gaussian-model prediction. Redraw mode draws channels and
-    recomputes the genie threshold and the law for every trial and reports no
-    prediction. Scales without a lift (zero tag gain) raise
+    recomputes the genie threshold and the bit-1 form for every trial and
+    reports no prediction. Scales without a lift (zero tag gain) raise
     :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
     before a covariance is built from them.
     """

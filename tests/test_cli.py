@@ -288,6 +288,22 @@ def test_huge_gain_bins_stay_finite_in_noise_floor_units(tmp_path):
     assert all(math.isfinite(float(row[5])) for row in rows)
 
 
+@pytest.mark.parametrize("mode", ["fixed", "redraw"])
+def test_tag_longer_than_the_block_runs(tmp_path, mode):
+    # tag_order 12 > block_len 6: the tag's lags past the block never reach
+    # the window, so the sweep runs like any other
+    out = tmp_path / "x.csv"
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("cp_len = 20\neff_len = 64\ndirect_order = 0\ntag_order = 12\n"
+                     "reflect_order = 2\n")
+    assert run_cli(["--config", str(cfile), "--snr", "10", "--w", "4", "--channel-mode", mode,
+                    "--threshold", "both", "--trials", "300", "--seed", "1",
+                    "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row[5:] if v)
+
+
 @pytest.mark.parametrize("config_line", ["tag_gain = 1e77", "tag_gain = 1e150"])
 def test_huge_finite_gain_writes_no_nan(tmp_path, config_line):
     out = tmp_path / "x.csv"

@@ -3,7 +3,8 @@
 The engine draws each trial's bins from ``CN(0, Sigma_bit)``. These gates
 keep the per-trial chain as the oracle: on identical source and noise
 samples the linear maps give the chain's bins, and the lag-form covariance
-equals the one built from the probed bin responses.
+and the kernel's bit-1 form equal the ones built from the probed bin
+responses.
 """
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from backscatter import draw_channels, exact
 from backscatter.core import complex_normal
 from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
 
+# "long-tag" has tag_order 12 > block_len 6: lags d >= block_len never reach the window.
+LONG_TAG = dict(cp_len=20, eff_len=64, direct_order=0, tag_order=12, reflect_order=2, window=4)
 GEOMETRIES = {"reference": {}, "short": SHORT, "w10": dict(window=10),
-              "w16-orders-3-5": dict(window=16, tag_order=3, reflect_order=5)}
+              "w16-orders-3-5": dict(window=16, tag_order=3, reflect_order=5),
+              "long-tag": LONG_TAG}
 
 
 @pytest.mark.parametrize("over", [{}, SHORT], ids=["reference", "short"])
@@ -48,6 +52,43 @@ def test_lag_form_covariances_match_the_probe(over):
         assert np.max(np.abs(exact.response(p, ch) - r)) <= 1e-12 * np.max(np.abs(r))
         want = s0 + p.source_power * r @ r.conj().T / floor
         assert np.max(np.abs(s1 - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("window", ["geometry", 1, "block_len"])
+@pytest.mark.parametrize("over", list(GEOMETRIES.values()), ids=list(GEOMETRIES))
+def test_closed_form_lag_maps_are_the_shifted_dft_products(over, window):
+    # M_d = F_W J_d F_W^H = F_W[:, d:] F_W[:, :N - d]^H, and 0 for d >= N
+    p = make_params(**over)
+    n = p.block_len
+    w = {"geometry": p.window, "block_len": n}.get(window, window)
+    omega, omega_n, c = exact._lag_tables(n, w, p.tag_order)
+    f = exact._dft_rows(n, w)
+    assert np.array_equal(c, c.conj().T)
+    for d in range(p.tag_order + 1):
+        if d >= n:
+            assert not omega[d].any() and not omega_n[d].any()
+            continue
+        want = f[:, d:] @ f[:, :n - d].conj().T
+        weights = 2 * omega_n[0] if d == 0 else omega_n[d]
+        got = omega[d][:, None] * c - c * omega[d] + np.diag(weights)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(weights - (n - d) * omega[d])) <= 1e-12 * (n - d)
+
+
+@pytest.mark.parametrize("over", list(GEOMETRIES.values()), ids=list(GEOMETRIES))
+def test_signal_form_is_the_probed_bit1_excess(over):
+    # the kernel's bit-1 addend is Re(u^H (Sigma_1 - Sigma_0) u), with no Sigma_1 formed
+    p = make_params(**over)
+    floor = 2 * p.cancel_len * p.noise_power
+    chans = [draw_channels(p, np.random.default_rng(seed)) for seed in (51, 52, 53)]
+    u = complex_normal(np.random.default_rng(54), 3 * p.window, 1.0 / p.window).reshape(3, -1)
+    want = []
+    for ch, x in zip(chans, u):
+        r = probe_bin_gains(p, ch)[:p.window]
+        want.append(p.source_power * np.sum(np.abs(r.conj().T @ x) ** 2) / floor)
+    got = exact.signal_form(p, np.stack([ch.tag for ch in chans]),
+                            np.stack([ch.reflect for ch in chans]), u)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_sigma1_of_no_realization_is_empty():

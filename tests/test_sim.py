@@ -19,7 +19,7 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
                          sweep, threshold_for)
 from backscatter.core import complex_normal
 from backscatter.detector import energy_scales
-from backscatter.exact import sigma0, sigma1
+from backscatter.exact import sigma0, sigma1, signal_form
 from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
 
 small_params = partial(make_params, **SHORT)
@@ -481,18 +481,21 @@ def test_pool_raises_the_serial_error():
 
 
 def test_statistics_past_the_largest_double_decide_one():
-    # lift/floor near 1e307 overflows some bit-1 trials' Sigma_1, which
-    # makes their statistics inf or nan; the exact statistic lies hundreds
-    # of orders of magnitude above the threshold of about 20 noise floors,
-    # and a bit-0 statistic almost never reaches it, so the point makes no error
+    # lift/floor near 1e307 overflows some bit-1 trials' signal form, the
+    # kernel's addend to Re(u^H Sigma_0 u), which makes their statistics not
+    # finite; the exact statistic lies hundreds of orders of magnitude above
+    # the threshold of about 20 noise floors, and a bit-0 statistic almost
+    # never reaches it, so the point makes no error
     b = sim._block_trials(small_params())
-    q = params_at_snr(small_params(trials=b, noise_power=1e-6, tag_gain=3e152), 10.0)
-    width = q.tag_order + 1
+    q = params_at_snr(small_params(trials=b, noise_power=1e-6, tag_gain=5e152), 10.0)
+    w, width = q.window, q.tag_order + 1
     point = np.random.SeedSequence(59)
     rng = np.random.Generator(np.random.SFC64(substream(point, 1, 0)))
     bits = rng.integers(0, 2, b) == 1
     taps = complex_normal(rng, b * (width + q.reflect_order + 1), 1.0).reshape(b, -1)
-    assert not np.isfinite(sigma1(q, taps[bits, :width], taps[bits, width:])).all()
+    u = complex_normal(rng, b * w, 1.0 / w).reshape(b, w)
+    form = signal_form(q, taps[bits, :width], taps[bits, width:], u[bits])
+    assert not np.isfinite(form).all()
     rec = estimate_ber(q, ThresholdKind.OPTIMAL, ChannelMode.REDRAW_PER_TRIAL, 10.0, point)
     assert rec.empirical_ber == 0
 
