@@ -12,6 +12,7 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -125,7 +126,9 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+@lru_cache(maxsize=1)
 def _build_argparser() -> argparse.ArgumentParser:
+    """The flag parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="backscatter-sim",
         description="Monte Carlo BER sweeps for a CP-gated ambient backscatter link.")

@@ -84,6 +84,18 @@ def _sigma0(block_len: int, reflect_order: int, window: int) -> np.ndarray:
     return s
 
 
+def sigma0_eigenvalues(params: SystemParams) -> np.ndarray:
+    """The eigenvalues of :func:`sigma0`, ascending and read-only; cached per geometry."""
+    return _sigma0_eigenvalues(params.block_len, params.reflect_order, params.window)
+
+
+@lru_cache(maxsize=8)
+def _sigma0_eigenvalues(block_len: int, reflect_order: int, window: int) -> np.ndarray:
+    lam = np.linalg.eigvalsh(_sigma0(block_len, reflect_order, window))
+    lam.setflags(write=False)
+    return lam
+
+
 @lru_cache(maxsize=8)
 def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray, ...]:
     """Read-only ``(Omega, Omega_n, C)``; ``Omega_n[d] = (block_len - d) Omega[d]``,
@@ -119,7 +131,8 @@ def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.nda
     It is ``Sigma_0 + amp^2 diag(H_r) (K + K^H) diag(H_r)^H``, with ``K[p, q] =
     (h_p - h_q) C[p, q] + delta_pq h_n,p``. A lift/floor within a few orders of
     the largest double can overflow entries to inf or nan; every threshold lies
-    below 40 noise floors there, so the kernel decides 1 where a statistic is not finite.
+    below 40 noise floors there, so the kernel decides 1 where a statistic is not finite,
+    and fixed mode every bit-1 trial where ``Sigma_1`` is not.
     """
     h, h_n, h_r, c, amp = _spectra(params, tag, reflect)
     k = (h[:, :, None] - h[:, None, :]) * c + h_n[:, :, None] * np.eye(params.window)

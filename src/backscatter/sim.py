@@ -3,20 +3,25 @@
 A trial's statistic reads only the first ``window`` DFT bins, and for a
 fixed bit and channel realization those bins are exactly ``CN(0, Sigma_bit)``
 (:mod:`backscatter.exact`). Their energy thus has the law of ``u^H Sigma_bit u``
-for white ``u ~ CN(0, I / window)``, which the engine evaluates instead of
+for white ``u ~ CN(0, I / window)``, which the engine draws instead of
 running the frame chain; :func:`run_trial` keeps the chain as the reference
 that the tests and the benchmark's correctness check compare it against.
-Statistic and threshold are in units of the noise floor; a redrawn bit-1
-trial's is ``u^H Sigma_0 u`` plus :func:`backscatter.exact.signal_form`.
+Statistic and threshold are in units of the noise floor. A redrawn trial's
+statistic is ``Re(u^H Sigma_0 u)``, plus :func:`backscatter.exact.signal_form`
+for bit 1. With the realization fixed, ``u^H Sigma_bit u`` has the law of
+``sum_k lambda_k E_k / window`` for the eigenvalues ``lambda`` of ``Sigma_bit``
+and standard exponentials ``E`` (rotate ``u`` into the eigenbasis), so a fixed
+trial draws ``window`` exponentials and no normals.
 
 The trials of a point run in blocks of :func:`_block_trials` trials. Each
 block draws from its own SFC64 stream keyed (seed, point, 1, block): first
-its bits, then in redraw mode each trial's tag and reflect taps, then each
-trial's ``window`` normals, and it computes its thresholds and statistics on
-its own, so block sizes are part of the stream layout. A fixed channel
-realization comes from the PCG64 stream (seed, point, 0). Workers take whole
-blocks, so every value is computed on the same arrays for any worker count
-and aggregation is a plain error-count sum.
+its bits, then in redraw mode each trial's tag and reflect taps and its
+``window`` normals, in fixed mode each trial's ``window`` exponentials, and
+it computes its thresholds and statistics on its own, so block sizes are
+part of the stream layout. A fixed channel realization comes from the PCG64
+stream (seed, point, 0). Workers take whole blocks, so every value is
+computed on the same arrays for any worker count and aggregation is a plain
+error-count sum.
 """
 from __future__ import annotations
 
@@ -33,13 +38,13 @@ from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_n
                    derive_params, draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
-from .exact import sigma0, sigma1, signal_form
+from .exact import sigma0, sigma0_eigenvalues, sigma1, signal_form
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
 
-# Bytes of one trial block's per-trial arrays as an earlier kernel held them: enough trials
-# to share the set-up of the block's stream (SeedSequence + SFC64, tens of microseconds).
+# Bytes of one trial block's per-trial arrays (see _block_trials): enough trials to share
+# the set-up of the block's stream (SeedSequence + SFC64, tens of microseconds).
 BLOCK_BYTES = 1024 * 1024
 
 
@@ -122,27 +127,35 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
     return threshold_for(kind, scales, params.window) / scales.noise_floor
 
 
-def _block_trials(params: SystemParams) -> int:
-    """Trials per block: BLOCK_BYTES over an earlier kernel's per-trial words (two (w, w)
-    stacks, a lag gather, taps, u, y), kept since block sizes are part of the stream layout."""
+def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
+    """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel.
+
+    A fixed trial keeps ``window`` exponentials, its bit and its statistic, 8 bytes
+    each. Redraw blocks keep the 16-byte words of an earlier kernel (two (w, w) stacks,
+    a lag gather, taps, u, y), since block sizes are part of the stream layout.
+    """
     w, k = params.window, params.tag_order + 1
+    if mode is ChannelMode.FIXED_REALIZATION:
+        return max(1, BLOCK_BYTES // (8 * (w + 2)))
     words = 2 * w * w + k * k + 2 * (k + params.reflect_order + 1) + 4 * w
     return max(1, BLOCK_BYTES // (16 * words))
 
 
 def _count_errors(params: SystemParams, kind: ThresholdKind,
-                  law: tuple[float, np.ndarray] | None,
+                  law: tuple[float, np.ndarray, np.ndarray] | None,
                   point: np.random.SeedSequence, first: int, last: int) -> int:
     """Errors over trial blocks [first, last); the chunk worker.
 
-    ``law`` is the fixed realization's threshold and ``Sigma_1``, in
-    noise-floor units; without it every trial draws its own taps, gets its
-    threshold from them and adds its bit-1 signal form to ``Re(u^H Sigma_0 u)``.
-    A statistic that is not finite decides 1. Each block draws from its own
-    stream and is computed alone.
+    ``law`` is the fixed realization's threshold and the eigenvalues of ``Sigma_0``
+    and ``Sigma_1`` over ``window``, in noise-floor units, and a trial's statistic is
+    its exponentials' sum weighted by its bit's eigenvalues. Without it every trial
+    draws its own taps, gets its threshold from them and adds its bit-1 signal form
+    to ``Re(u^H Sigma_0 u)``. A statistic that is not finite decides 1. Each block
+    draws from its own stream and is computed alone.
     """
     w, width = params.window, params.tag_order + 1
-    size = _block_trials(params)
+    mode = ChannelMode.REDRAW_PER_TRIAL if law is None else ChannelMode.FIXED_REALIZATION
+    size = _block_trials(params, mode)
     errors = 0
     for block in range(first, last):
         n = min(size, params.trials - block * size)
@@ -151,17 +164,19 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
         if law is None:
             taps = complex_normal(rng, n * (width + params.reflect_order + 1), 1.0).reshape(n, -1)
             threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
-        else:
-            threshold, cov1 = law
-        u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w, 1)
-        with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
-            y = np.matmul(sigma0(params), u)
-            if law is not None:
-                y[bits] = np.matmul(cov1, u[bits])
-            stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=(1, 2))
-            if law is None:
+            u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w)
+            with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
+                # one (n, w) @ (w, w) product: OpenBLAS runs per-trial ones on two threads
+                # from w = 64
+                y = u @ sigma0(params).T
+                stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=1)
                 stat[bits] += signal_form(params, taps[bits, :width], taps[bits, width:],
-                                          u[bits, :, 0])
+                                          u[bits])
+        else:
+            threshold, lam0, lam1 = law
+            e = rng.standard_exponential((n, w))
+            with np.errstate(over="ignore", invalid="ignore"):      # see estimate_ber
+                stat = np.where(bits, e @ lam1, e @ lam0)
         errors += int(np.count_nonzero(~(stat <= threshold) != bits))
     return errors
 
@@ -172,26 +187,29 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     """Empirical BER at one operating point, bits drawn equiprobably.
 
     Fixed mode draws one channel realization up front (substream 0 of the
-    point), computes the threshold and the law of its bins once and reports
-    the matching Gaussian-model prediction. Redraw mode draws channels and
-    recomputes the genie threshold and the bit-1 form for every trial and
-    reports no prediction. Scales without a lift (zero tag gain) raise
+    point), computes the threshold and the eigenvalues of its bins' covariances
+    once and reports the matching Gaussian-model prediction. A ``Sigma_1`` with
+    entries that overflowed gets infinite eigenvalues, so every bit-1 trial
+    decides 1 (see :func:`backscatter.exact.sigma1`). Redraw mode draws
+    channels and recomputes the genie threshold and the bit-1 form for every
+    trial and reports no prediction. Scales without a lift (zero tag gain) raise
     :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
     before a covariance is built from them.
     """
     p = params_at_snr(params, snr_db)
-    law: tuple[float, np.ndarray] | None = None
+    law: tuple[float, np.ndarray, np.ndarray] | None = None
     analytic: float | None = None
     if mode is ChannelMode.FIXED_REALIZATION:
         channels = draw_channels(p, generator(substream(stream, 0)))
         scales = compute_scales(p, channels)
         threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
-        law = (threshold / scales.noise_floor,
-               sigma1(p, channels.tag[None], channels.reflect[None]))
+        cov1 = sigma1(p, channels.tag[None], channels.reflect[None])[0]
+        lam1 = np.linalg.eigvalsh(cov1) if np.isfinite(cov1).all() else np.full(p.window, math.inf)
+        law = (threshold / scales.noise_floor, sigma0_eigenvalues(p) / p.window, lam1 / p.window)
 
     n = p.trials
-    blocks = -(-n // _block_trials(p))
+    blocks = -(-n // _block_trials(p, mode))
     count = partial(_count_errors, p, kind, law, stream)
     if workers <= 1:
         errors = count(0, blocks)

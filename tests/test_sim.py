@@ -19,7 +19,7 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
                          sweep, threshold_for)
 from backscatter.core import complex_normal
 from backscatter.detector import energy_scales
-from backscatter.exact import sigma0, sigma1, signal_form
+from backscatter.exact import sigma0, sigma0_eigenvalues, sigma1, signal_form
 from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
 
 small_params = partial(make_params, **SHORT)
@@ -218,6 +218,31 @@ def test_redraw_kernel_error_rate_matches_the_chain():
         assert fisher_exact(errors, rec.trials, chain_errors[kind], n) > 5e-5
 
 
+def test_fixed_kernel_error_rate_matches_the_chain():
+    # fixed mode at a point with a BER near 0.15 to 0.2: the kernel's error
+    # count and that of run_trial on the point's own channel realization,
+    # with bits and noise from a disjoint stream, agree under Fisher's exact
+    # test at a false-alarm rate of 1e-4 over both threshold kinds
+    p = small_params(trials=20_000)
+    q = params_at_snr(p, 0.0)
+    root = np.random.SeedSequence(47)
+    ch = draw_channels(q, generator(substream(substream(root, 0), 0)))
+    scales = compute_scales(q, ch)
+    n = 6000
+    chain_errors = dict.fromkeys(ThresholdKind, 0)
+    for t in range(n):
+        rng = generator(substream(root, 1, t))
+        bit = int(rng.integers(0, 2))
+        stat = run_trial(q, ch, bit, 0.0, rng).statistic
+        for kind in ThresholdKind:
+            chain_errors[kind] += detect(stat, threshold_for(kind, scales, q.window)) != bit
+    for kind in ThresholdKind:
+        rec = estimate_ber(p, kind, ChannelMode.FIXED_REALIZATION, 0.0, substream(root, 0))
+        assert 0.05 < rec.empirical_ber < 0.4
+        errors = round(rec.empirical_ber * rec.trials)
+        assert fisher_exact(errors, rec.trials, chain_errors[kind], n) > 5e-5
+
+
 def test_estimate_is_reproducible_and_worker_invariant():
     p = make_params(trials=600, window=4)
     args = (p, ThresholdKind.OPTIMAL, ChannelMode.REDRAW_PER_TRIAL, 10.0)
@@ -256,10 +281,11 @@ def test_sweep_rejects_empty_axes():
 def test_sweep_records_are_worker_invariant(mode):
     # fewer trials than workers or than one trial block, and a count that is
     # not a multiple of it: workers take whole blocks, so the split never
-    # shows in a record. b is the W=4 block; W=2 blocks are longer, and the
-    # last count still runs W=2 as two blocks, the last one short.
-    b = sim._block_trials(small_params())
-    assert 40 < b and (2 * b + 7) % b and (2 * b + 7) % sim._block_trials(small_params(window=2))
+    # shows in a record. b is the mode's W=4 block; W=2 blocks are longer, and
+    # the last count still runs W=2 as two blocks, the last one short.
+    b = sim._block_trials(small_params(), mode)
+    b2 = sim._block_trials(small_params(window=2), mode)
+    assert 40 < b < b2 < 2 * b + 7 < 2 * b2 and (2 * b + 7) % b
     for trials in (3, 40, 2 * b + 7):
         p = small_params(trials=trials)
         args = (p, [6.0, 12.0], [2, 4], [ThresholdKind.OPTIMAL], mode)
@@ -286,7 +312,7 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
             return super().map(fn, *zip(*ranges), **kwargs)
 
     monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
-    b = sim._block_trials(small_params())
+    b = sim._block_trials(small_params(), ChannelMode.FIXED_REALIZATION)
     for trials, workers, used in ((3, 2, 1), (40, 2, 1), (2 * b + 7, 2, 2), (2 * b + 7, 4, 3)):
         p = small_params(trials=trials)
         args = (p, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 8.0)
@@ -300,41 +326,57 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
         assert [first for first, _ in ranges] + [blocks] == [0] + [last for _, last in ranges]
 
 
+def fixed_law(q, kind, point):
+    """The fixed kernel's law at a point: threshold and both eigenvalue sets, over the floor."""
+    ch = draw_channels(q, generator(substream(point, 0)))
+    scales = compute_scales(q, ch)
+    lam1 = np.linalg.eigvalsh(sigma1(q, ch.tag[None], ch.reflect[None])[0])
+    return (threshold_for(kind, scales, q.window) / scales.noise_floor,
+            sigma0_eigenvalues(q) / q.window, lam1 / q.window)
+
+
 @pytest.mark.parametrize("kind", list(ThresholdKind))
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_trial_streams_are_keyed_per_block(mode, kind):
     # replay the documented layout one trial at a time: block b of a point
     # draws from an SFC64 generator on substream(point, 1, b), in order, the
-    # block's bits, in redraw mode each trial's tag then reflect taps, then
-    # each trial's window normals u of power 1 / window; the trial decides 1
-    # when Re(u^H Sigma_bit u) exceeds its threshold over the noise floor.
-    # Fixed channels come from generator(substream(point, 0)). Three blocks
-    # of b trials, the last one short. At this point |chol(Sigma_bit) u|^2,
-    # which has the same law, decides some trial otherwise in every case, so
-    # the replay pins the map and not only the law.
-    b = sim._block_trials(small_params())
+    # block's bits, then in redraw mode each trial's tag then reflect taps and
+    # its window normals u of power 1 / window, and the trial decides 1 when
+    # Re(u^H Sigma_bit u) exceeds its threshold over the noise floor; in fixed
+    # mode each trial's window standard exponentials E, and the trial decides
+    # 1 when E . lambda_bit, the eigenvalues of Sigma_bit over window, exceeds
+    # it. Fixed channels come from generator(substream(point, 0)). Three
+    # blocks of the mode's b trials, the last one short. At this point a map
+    # with the same law, |chol(Sigma_bit) u|^2 or E . reversed(lambda_bit),
+    # decides some trial otherwise in every case, so the replay pins the map
+    # and not only the law.
+    b = sim._block_trials(small_params(), mode)
     p = small_params(trials=2 * b + 9)
     q = params_at_snr(p, 14.0)
     point = np.random.SeedSequence(8)
     w, width = q.window, q.tag_order + 1
     fixed = draw_channels(q, generator(substream(point, 0)))
-    errors = chol_errors = 0
+    th, *lams = fixed_law(q, kind, point)
+    errors = other_errors = 0
     for block in range(3):
         rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
         n = min(b, q.trials - block * b)
         bits = rng.integers(0, 2, n)
-        channels = [fixed] * n
-        if mode is ChannelMode.REDRAW_PER_TRIAL:
-            taps = complex_normal(rng, n * (width + q.reflect_order + 1), 1.0).reshape(n, -1)
-            channels = [ChannelSet(fixed.direct, row[:width], row[width:]) for row in taps]
+        if mode is ChannelMode.FIXED_REALIZATION:
+            for bit, e in zip(bits, rng.standard_exponential((n, w))):
+                errors += (np.dot(e, lams[bit]) > th) != bit
+                other_errors += (np.dot(e, lams[bit][::-1]) > th) != bit
+            continue
+        taps = complex_normal(rng, n * (width + q.reflect_order + 1), 1.0).reshape(n, -1)
+        channels = [ChannelSet(fixed.direct, row[:width], row[width:]) for row in taps]
         normals = complex_normal(rng, n * w, 1.0 / w).reshape(n, w)
         for bit, ch, u in zip(bits, channels, normals):
             scales = compute_scales(q, ch)
             th = threshold_for(kind, scales, w) / scales.noise_floor
             cov = sigma1(q, ch.tag[None], ch.reflect[None])[0] if bit else sigma0(q)
             errors += (np.vdot(u, cov @ u).real > th) != bit
-            chol_errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
-    assert chol_errors != errors
+            other_errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
+    assert other_errors != errors
     rec = estimate_ber(p, kind, mode, 14.0, point)
     assert rec.empirical_ber == errors / q.trials
 
@@ -346,15 +388,10 @@ def test_blocks_are_computed_alone(mode, window):
     # over all blocks is the sum of the blocks' own counts, and the record
     # is the same for one, two and three workers, with a short last block
     kind = ThresholdKind.OPTIMAL
-    b = sim._block_trials(make_params(window=window))
+    b = sim._block_trials(make_params(window=window), mode)
     q = params_at_snr(make_params(window=window, trials=3 * b + 7), 14.0)
     point = np.random.SeedSequence(37)
-    law = None
-    if mode is ChannelMode.FIXED_REALIZATION:
-        ch = draw_channels(q, generator(substream(point, 0)))
-        scales = compute_scales(q, ch)
-        law = (threshold_for(kind, scales, window) / scales.noise_floor,
-               sigma1(q, ch.tag[None], ch.reflect[None]))
+    law = fixed_law(q, kind, point) if mode is ChannelMode.FIXED_REALIZATION else None
     errors = sim._count_errors(q, kind, law, point, 0, 4)
     assert errors == sum(sim._count_errors(q, kind, law, point, k, k + 1) for k in range(4))
     serial = estimate_ber(q, kind, mode, 14.0, point)
@@ -370,7 +407,7 @@ def test_kernel_memory_is_bounded_per_block(window):
     # the spread of the bit-1 count between blocks
     kind = ThresholdKind.OPTIMAL
     point = np.random.SeedSequence(41)
-    b = sim._block_trials(make_params(window=window))
+    b = sim._block_trials(make_params(window=window), ChannelMode.REDRAW_PER_TRIAL)
     peaks = []
     for blocks in (20, 100):
         q = params_at_snr(make_params(trials=blocks * b, window=window), 20.0)
@@ -444,7 +481,7 @@ def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energi
 def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     # zero gain has no lift in any trial; at 1e151 only trials with large tap
     # energies overflow, so the first bad trial is not the first trial
-    b = sim._block_trials(make_params())
+    b = sim._block_trials(make_params(), ChannelMode.REDRAW_PER_TRIAL)
     q = params_at_snr(make_params(tag_gain=gain, trials=2 * b), 20.0)
     width = q.tag_order + 1
     point = np.random.SeedSequence(42)
@@ -469,8 +506,8 @@ def test_pool_raises_the_serial_error():
     # own first bad trial: the pool raises the first chunk's error, the one a
     # serial sweep raises. A floor below 1 overflows lift / floor while the
     # lift, which the message names, is still finite.
-    p = small_params(trials=4 * sim._block_trials(small_params()), noise_power=1e-6,
-                     tag_gain=3e152)
+    p = small_params(trials=4 * sim._block_trials(small_params(), ChannelMode.REDRAW_PER_TRIAL),
+                     noise_power=1e-6, tag_gain=3e152)
     args = (p, [10.0, 20.0], [4], [ThresholdKind.OPTIMAL], ChannelMode.REDRAW_PER_TRIAL)
     with pytest.raises(ValueError, match=r"signal_lift=\d\S* over .* overflows") as serial:
         sweep(*args, np.random.SeedSequence(53))
@@ -486,7 +523,7 @@ def test_statistics_past_the_largest_double_decide_one():
     # finite; the exact statistic lies hundreds of orders of magnitude above
     # the threshold of about 20 noise floors, and a bit-0 statistic almost
     # never reaches it, so the point makes no error
-    b = sim._block_trials(small_params())
+    b = sim._block_trials(small_params(), ChannelMode.REDRAW_PER_TRIAL)
     q = params_at_snr(small_params(trials=b, noise_power=1e-6, tag_gain=5e152), 10.0)
     w, width = q.window, q.tag_order + 1
     point = np.random.SeedSequence(59)
@@ -497,6 +534,20 @@ def test_statistics_past_the_largest_double_decide_one():
     form = signal_form(q, taps[bits, :width], taps[bits, width:], u[bits])
     assert not np.isfinite(form).all()
     rec = estimate_ber(q, ThresholdKind.OPTIMAL, ChannelMode.REDRAW_PER_TRIAL, 10.0, point)
+    assert rec.empirical_ber == 0
+
+
+def test_fixed_sigma1_past_the_largest_double_decides_one():
+    # at lift/floor near 1e307 the fixed realization's Sigma_1 overflows to
+    # inf and has no eigenvalues: every bit-1 trial decides 1, and as the
+    # threshold is about 20 noise floors, which a bit-0 statistic almost
+    # never reaches, the point makes no error
+    b = sim._block_trials(small_params(), ChannelMode.FIXED_REALIZATION)
+    q = params_at_snr(small_params(trials=b + 7, noise_power=1e-6, tag_gain=5e152), 10.0)
+    point = np.random.SeedSequence(64)
+    ch = draw_channels(q, generator(substream(point, 0)))
+    assert not np.isfinite(sigma1(q, ch.tag[None], ch.reflect[None])).all()
+    rec = estimate_ber(q, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 10.0, point)
     assert rec.empirical_ber == 0
 
 
