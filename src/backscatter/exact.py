@@ -112,29 +112,45 @@ def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray
 
 
 def _spectra(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> tuple:
-    """``(h, h_n, H_r, C, amp)``: ``h = rho Omega``, ``h_n = rho Omega_n`` per stacked row."""
-    k = tag.shape[1]
+    """``(h, h_n, H_r, C)``: ``h = rho Omega``, ``h_n = rho Omega_n`` and ``H_r`` per stacked row.
+
+    Taps stacked as ``(m, k)`` take one ``(m, k) @ (k, window)`` product each. Stacked as
+    ``(m, 1, k)``, every row's product is the one-row call that a stack of one makes, so
+    its values do not depend, bit for bit, on what is stacked with it.
+    """
+    k = tag.shape[-1]
     omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
-    # rho[:, d] = sum_j tag[j + d] conj(tag[j]) for d = 0 .. k - 1
-    padded = np.concatenate([tag, np.zeros_like(tag)], axis=1)
-    lagged = np.take(padded, np.add.outer(range(k), range(k)), axis=1)
-    rho = np.matmul(lagged, tag.conj()[:, :, None])[:, :, 0]
-    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[1]].T
+    # rho[..., d] = sum_j tag[..., j + d] conj(tag[..., j]) for d = 0 .. k - 1
+    padded = np.concatenate([tag, np.zeros_like(tag)], axis=-1)
+    lagged = np.take(padded, np.add.outer(range(k), range(k)), axis=-1)
+    rho = np.matmul(lagged, tag.conj()[..., None])[..., 0]
+    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[-1]].T
+    return rho @ omega, rho @ omega_n, h_r, c
+
+
+def _amp(params: SystemParams, source_power: float | np.ndarray) -> float | np.ndarray:
+    """``|tag_gain| sqrt(source_power / floor)``, for one source power or an array of them."""
     floor = energy_scales(params, 0.0, 0.0).noise_floor
-    amp = abs(params.tag_gain) * (math.sqrt(params.source_power) / math.sqrt(floor))
-    return rho @ omega, rho @ omega_n, h_r, c, amp
+    return abs(params.tag_gain) * (np.sqrt(source_power) / math.sqrt(floor))
 
 
-def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray, *,
+           source_power: np.ndarray | None = None) -> np.ndarray:
     """``Sigma_1 / floor``, ``(m, window, window)``, for tap sets stacked on the leading axis.
 
     It is ``Sigma_0 + amp^2 diag(H_r) (K + K^H) diag(H_r)^H``, with ``K[p, q] =
-    (h_p - h_q) C[p, q] + delta_pq h_n,p``. A lift/floor within a few orders of
-    the largest double can overflow entries to inf or nan; every threshold lies
-    below 40 noise floors there, so the kernel decides 1 where a statistic is not finite,
-    and fixed mode every bit-1 trial where ``Sigma_1`` is not.
+    (h_p - h_q) C[p, q] + delta_pq h_n,p``. ``source_power`` gives each row its own
+    power (and ``amp``) in place of ``params.source_power``; a row equals the one-row
+    call at its power bit for bit, as its spectra are taken row by row (see
+    :func:`_spectra`). A lift/floor within a few orders of the largest double can overflow
+    entries to inf or nan; every threshold lies below 40 noise floors there, so the kernel
+    decides 1 where a statistic is not finite, and fixed mode every bit-1 trial where
+    ``Sigma_1`` is not.
     """
-    h, h_n, h_r, c, amp = _spectra(params, tag, reflect)
+    h, h_n, h_r, c = _spectra(params, tag[:, None], reflect[:, None])
+    h, h_n, h_r = h[:, 0], h_n[:, 0], h_r[:, 0]
+    power = params.source_power if source_power is None else source_power[:, None, None]
+    amp = _amp(params, power)
     k = (h[:, :, None] - h[:, None, :]) * c + h_n[:, :, None] * np.eye(params.window)
     x = h_r[:, :, None] * k * h_r.conj()[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,7 +165,8 @@ def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
     4 Im(h_p) Im(conj(b_p) z_p)]``, ``O(window^2 + k window)`` work per trial; as
     ``amp`` multiplies the sum last, the form overflows only to ``+inf``.
     """
-    h, h_n, h_r, c, amp = _spectra(params, tag, reflect)
+    h, h_n, h_r, c = _spectra(params, tag, reflect)
+    amp = _amp(params, params.source_power)
     b = h_r.conj() * u
     z = b @ c.T
     form = (2 * h_n.real * (b.real ** 2 + b.imag ** 2)

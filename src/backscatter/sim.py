@@ -11,7 +11,10 @@ statistic is ``Re(u^H Sigma_0 u)``, plus :func:`backscatter.exact.signal_form`
 for bit 1. With the realization fixed, ``u^H Sigma_bit u`` has the law of
 ``sum_k lambda_k E_k / window`` for the eigenvalues ``lambda`` of ``Sigma_bit``
 and standard exponentials ``E`` (rotate ``u`` into the eigenbasis), so a fixed
-trial draws ``window`` exponentials and no normals.
+trial draws ``window`` exponentials and no normals. A fixed sweep sets each window
+up once: one stacked ``Sigma_1`` and one stacked ``eigvalsh`` over the window's
+cells (:func:`_fixed_realizations`), which work row by row, so every cell gets
+the values a point computed alone gets, bit for bit.
 
 The trials of a point run in blocks of :func:`_block_trials` trials. Each
 block draws from its own SFC64 stream keyed (seed, point, 1, block): first
@@ -79,7 +82,8 @@ class BerRecord:
 
 
 def params_at_snr(params: SystemParams, snr_db: float) -> SystemParams:
-    """Copy of ``params`` with the source power set to the requested SNR.
+    """``params`` with the source power set to the requested SNR: a copy, or
+    ``params`` itself when it is already at that power.
 
     SNR is defined against the per-sample noise power:
     ``snr_db = 10 log10(source_power / noise_power)``. Raises
@@ -94,7 +98,7 @@ def params_at_snr(params: SystemParams, snr_db: float) -> SystemParams:
     if not MIN_POWER <= power < math.inf:
         raise InvalidConfig(f"snr_db={snr_db} gives source_power={power}; "
                             f"need a finite power >= {MIN_POWER}")
-    return replace(params, source_power=power)
+    return params if power == params.source_power else replace(params, source_power=power)
 
 
 def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: float,
@@ -181,32 +185,56 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
     return errors
 
 
+def _fixed_realizations(cells: list[tuple[SystemParams, np.random.SeedSequence]]
+                        ) -> list[tuple[ChannelSet, np.ndarray]]:
+    """Each fixed cell's channel realization and ``Sigma_1`` eigenvalues over ``window``.
+
+    The cells share one window's geometry and may differ in source power. Each draws its
+    channels from its own PCG64 stream (point, 0). One stacked :func:`sigma1`, with each
+    row at its cell's power, builds every ``Sigma_1`` and one stacked ``eigvalsh`` takes
+    the eigenvalues of the finite ones; both work row by row, so each cell's values are
+    those of a stack of one, bit for bit. A ``Sigma_1`` with entries that overflowed gets
+    infinite eigenvalues, so every bit-1 trial decides 1. Stacks hold up to
+    ``BLOCK_BYTES`` of covariances.
+    """
+    p = cells[0][0]
+    size = max(1, BLOCK_BYTES // (16 * p.window * p.window))
+    channels = [draw_channels(q, generator(substream(point, 0))) for q, point in cells]
+    lam1 = np.full((len(cells), p.window), math.inf)
+    for first in range(0, len(cells), size):
+        chunk = slice(first, first + size)
+        cov = sigma1(p, np.stack([ch.tag for ch in channels[chunk]]),
+                     np.stack([ch.reflect for ch in channels[chunk]]),
+                     source_power=np.array([q.source_power for q, _ in cells[chunk]]))
+        finite = np.isfinite(cov).all(axis=(1, 2))
+        if finite.any():
+            lam1[chunk][finite] = np.linalg.eigvalsh(cov[finite])
+    return list(zip(channels, lam1 / p.window))
+
+
 def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
-                 snr_db: float, stream: np.random.SeedSequence, *,
-                 workers: int = 1) -> BerRecord:
+                 snr_db: float, stream: np.random.SeedSequence, *, workers: int = 1,
+                 _realization: tuple[ChannelSet, np.ndarray] | None = None) -> BerRecord:
     """Empirical BER at one operating point, bits drawn equiprobably.
 
-    Fixed mode draws one channel realization up front (substream 0 of the
-    point), computes the threshold and the eigenvalues of its bins' covariances
-    once and reports the matching Gaussian-model prediction. A ``Sigma_1`` with
-    entries that overflowed gets infinite eigenvalues, so every bit-1 trial
-    decides 1 (see :func:`backscatter.exact.sigma1`). Redraw mode draws
+    Fixed mode takes one channel realization and the eigenvalues of its
+    ``Sigma_1`` from :func:`_fixed_realizations`, for a stack of one unless
+    :func:`sweep` passes them in as ``_realization``, computes the threshold once
+    and reports the matching Gaussian-model prediction. Redraw mode draws
     channels and recomputes the genie threshold and the bit-1 form for every
     trial and reports no prediction. Scales without a lift (zero tag gain) raise
     :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
-    before a covariance is built from them.
+    before the first trial.
     """
     p = params_at_snr(params, snr_db)
     law: tuple[float, np.ndarray, np.ndarray] | None = None
     analytic: float | None = None
     if mode is ChannelMode.FIXED_REALIZATION:
-        channels = draw_channels(p, generator(substream(stream, 0)))
+        channels, lam1 = _realization or _fixed_realizations([(p, stream)])[0]
         scales = compute_scales(p, channels)
         threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
-        cov1 = sigma1(p, channels.tag[None], channels.reflect[None])[0]
-        lam1 = np.linalg.eigvalsh(cov1) if np.isfinite(cov1).all() else np.full(p.window, math.inf)
-        law = (threshold / scales.noise_floor, sigma0_eigenvalues(p) / p.window, lam1 / p.window)
+        law = (threshold / scales.noise_floor, sigma0_eigenvalues(p) / p.window, lam1)
 
     n = p.trials
     blocks = -(-n // _block_trials(p, mode))
@@ -232,15 +260,27 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
 
     Every (window, SNR) cell is derived before the first trial runs, so a bad
     cell or an empty axis raises :class:`InvalidConfig` before any work is
-    done; ``params.window`` is replaced by each of ``w_values``. Each cell gets
-    its own substream keyed by enumeration order, so a rerun with the same
-    stream reproduces every record bit for bit.
+    done; ``params.window`` is replaced by each of ``w_values``, and each
+    window's parameters are derived once. Each cell gets its own substream
+    keyed by enumeration order, so a rerun with the same stream reproduces
+    every record bit for bit. In fixed mode a window's cells get their
+    realizations from one stacked :func:`_fixed_realizations`, which gives
+    each cell what :func:`estimate_ber` computes for it alone.
     """
     for name, axis in (("snr_values", snr_values), ("w_values", w_values), ("kinds", kinds)):
         if not axis:
             raise InvalidConfig(f"{name} is empty; a sweep needs at least one value")
     base = params_to_map(params)
-    cells = [(params_at_snr(derive_params({**base, "window": w}), snr), snr)
-             for w in w_values for snr in snr_values]
-    return [estimate_ber(p, kind, mode, snr, substream(stream, idx), workers=workers)
-            for idx, ((p, snr), kind) in enumerate(product(cells, kinds))]
+    grid = []
+    for w in w_values:
+        window = derive_params({**base, "window": w})
+        grid.append([(params_at_snr(window, snr), snr) for snr in snr_values])
+    records: list[BerRecord] = []
+    for cells in grid:
+        points = [(p, snr, kind, substream(stream, len(records) + i))
+                  for i, ((p, snr), kind) in enumerate(product(cells, kinds))]
+        laws = (_fixed_realizations([(p, point) for p, _, _, point in points])
+                if mode is ChannelMode.FIXED_REALIZATION else [None] * len(points))
+        records += [estimate_ber(p, kind, mode, snr, point, workers=workers, _realization=law)
+                    for (p, snr, kind, point), law in zip(points, laws)]
+    return records

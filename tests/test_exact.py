@@ -6,15 +6,16 @@ samples the linear maps give the chain's bins, and the lag-form covariance
 and the kernel's bit-1 form equal the ones built from the probed bin
 responses.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from backscatter import draw_channels, exact
 from backscatter.core import complex_normal
-from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
+from chainkit import (LONG_TAG, SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains,
+                      reader_spectrum)
 
-# "long-tag" has tag_order 12 > block_len 6: lags d >= block_len never reach the window.
-LONG_TAG = dict(cp_len=20, eff_len=64, direct_order=0, tag_order=12, reflect_order=2, window=4)
 GEOMETRIES = {"reference": {}, "short": SHORT, "w10": dict(window=10),
               "w16-orders-3-5": dict(window=16, tag_order=3, reflect_order=5),
               "long-tag": LONG_TAG}
@@ -97,3 +98,22 @@ def test_sigma1_of_no_realization_is_empty():
     tag = np.zeros((0, p.tag_order + 1), dtype=complex)
     reflect = np.zeros((0, p.reflect_order + 1), dtype=complex)
     assert exact.sigma1(p, tag, reflect).shape == (0, p.window, p.window)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
+def test_stacked_sigma1_rows_are_the_one_row_calls(over, windows, m):
+    # a fixed sweep stacks its window's cells, each row at its own source power: every
+    # row and its eigenvalues are those of the one-row call at that power, bit for bit
+    for w in windows:
+        p = make_params(**{**over, "window": w})
+        chans = [draw_channels(p, np.random.default_rng(60 + j)) for j in range(m)]
+        powers = p.noise_power * 10.0 ** (np.arange(m) * 0.7 + 0.5)
+        got = exact.sigma1(p, np.stack([ch.tag for ch in chans]),
+                           np.stack([ch.reflect for ch in chans]), source_power=powers)
+        lam = np.linalg.eigvalsh(got)
+        for ch, power, row, row_lam in zip(chans, powers, got, lam):
+            one = exact.sigma1(replace(p, source_power=float(power)), ch.tag[None],
+                               ch.reflect[None])
+            assert np.array_equal(row, one[0])
+            assert np.array_equal(row_lam, np.linalg.eigvalsh(one)[0])

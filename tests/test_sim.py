@@ -8,7 +8,9 @@ idealization the tests document the gap instead of hiding it.
 """
 import math
 import tracemalloc
+from collections import Counter
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
 from backscatter.core import complex_normal
 from backscatter.detector import energy_scales
 from backscatter.exact import sigma0, sigma0_eigenvalues, sigma1, signal_form
-from chainkit import SHORT, chain, make_params, probe_bin_gains, reader_spectrum
+from chainkit import SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains, reader_spectrum
 
 small_params = partial(make_params, **SHORT)
+FIXED = ChannelMode.FIXED_REALIZATION
 
 
 def gamma_survival(shape, mean, x):
@@ -562,22 +565,102 @@ def test_sweep_rejects_window_outside_block(window):
 
 def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch):
     import backscatter.sim as sim_module
-    calls = []
+    calls, draws = [], []
 
     def counting_kernel(*args):
         calls.append(args)
         return count_errors(*args)
 
+    def counting_draws(*args):
+        draws.append(args)
+        return draw_channels(*args)
+
     count_errors = sim_module._count_errors
     monkeypatch.setattr(sim_module, "_count_errors", counting_kernel)
+    monkeypatch.setattr(sim_module, "draw_channels", counting_draws)
     p = small_params(trials=10)
     args = ([4], [ThresholdKind.OPTIMAL], ChannelMode.FIXED_REALIZATION, np.random.SeedSequence(1))
     sweep(p, [10.0], *args)
-    assert len(calls) == 1      # the counter sees the kernel
+    assert len(calls) == len(draws) == 1      # the counters see the kernel and the draws
     calls.clear()
+    draws.clear()
     with pytest.raises(InvalidConfig, match="snr_db"):
         sweep(p, [10.0, 4000.0], *args)
-    assert calls == []
+    assert calls == draws == []
+
+
+@pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
+def test_fixed_sweep_equals_the_one_cell_path(over, windows):
+    # a fixed sweep sets each window up once, with one stacked Sigma_1 and eigvalsh over
+    # its cells: each cell's realization and eigenvalues are what estimate_ber sets up
+    # for the cell alone, bit for bit, and so is each record, for both threshold kinds
+    snrs, kinds = [6.0, 14.0, 22.0], list(ThresholdKind)
+    stream = np.random.SeedSequence(71)
+    at = {w: make_params(**{**over, "window": w, "trials": 300}) for w in windows}
+    records = sweep(at[windows[0]], snrs, list(windows), kinds, FIXED, stream)
+    cells = [(w, snr, kind, substream(stream, idx))
+             for idx, (w, snr, kind) in enumerate(product(windows, snrs, kinds))]
+    assert records == [estimate_ber(at[w], kind, FIXED, snr, point) for w, snr, kind, point in cells]
+    for w in windows:
+        stack = [(params_at_snr(at[w], snr), point) for v, snr, _, point in cells if v == w]
+        for cell, (ch, lam) in zip(stack, sim._fixed_realizations(stack)):
+            (one_ch, one_lam), = sim._fixed_realizations([cell])
+            assert np.array_equal(ch.tag, one_ch.tag) and np.array_equal(ch.reflect, one_ch.reflect)
+            assert np.array_equal(lam, one_lam)
+
+
+def test_window_of_finite_and_overflowing_sigma1_rows(monkeypatch):
+    # at tag_gain 5e152 and noise_power 1e-6 this SNR axis crosses the overflow of Sigma_1
+    # (not that of the scales): at this seed cells 3 and 4 of the window overflow. Only
+    # their rows get infinite eigenvalues, eigvalsh never sees a non-finite matrix, and
+    # every record is the cell's one-cell record
+    p = small_params(trials=200, noise_power=1e-6, tag_gain=5e152)
+    snrs, kinds = [0.0, 10.0, 12.0], list(ThresholdKind)
+    stream = np.random.SeedSequence(179)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def checking(a):
+        seen.append(bool(np.isfinite(a).all()))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", checking)
+    cells = [(params_at_snr(p, snr), substream(stream, idx), snr, kind)
+             for idx, (snr, kind) in enumerate(product(snrs, kinds))]
+    laws = sim._fixed_realizations([(q, point) for q, point, _, _ in cells])
+    overflows = [not np.isfinite(sigma1(q, ch.tag[None], ch.reflect[None])).all()
+                 for (q, *_), (ch, _) in zip(cells, laws)]
+    assert overflows == [False, False, False, True, True, False]
+    for overflow, (_, lam) in zip(overflows, laws):
+        assert np.isinf(lam).all() if overflow else np.isfinite(lam).all()
+    records = sweep(p, snrs, [p.window], kinds, FIXED, stream)
+    assert records == [estimate_ber(q, kind, FIXED, snr, point) for q, point, snr, kind in cells]
+    assert seen and all(seen)
+
+
+def test_fixed_sweep_sets_each_window_up_once(monkeypatch):
+    # counted as sim calls them: one stacked sigma1 and one eigvalsh per window, one
+    # estimate_ber per cell; a redraw sweep builds no Sigma_1
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    p = small_params(trials=20)
+    args = ([4.0, 8.0, 12.0], [2, 4, 16], list(ThresholdKind))
+    for mode in ChannelMode:        # fill the per-geometry caches, Sigma_0's eigenvalues too
+        sweep(p, *args, mode, np.random.SeedSequence(3))
+    monkeypatch.setattr(sim, "sigma1", counting("sigma1", sim.sigma1))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(sim, "estimate_ber", counting("estimate_ber", sim.estimate_ber))
+    sweep(p, *args, FIXED, np.random.SeedSequence(3))
+    assert calls == {"sigma1": 3, "eigvalsh": 3, "estimate_ber": 18}
+    calls.clear()
+    sweep(p, *args, ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(3))
+    assert calls == {"estimate_ber": 18}
 
 
 def test_snr_trend_small_scale():
