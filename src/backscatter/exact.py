@@ -84,6 +84,19 @@ def _sigma0(block_len: int, reflect_order: int, window: int) -> np.ndarray:
     return s
 
 
+def _sigma0_form(params: SystemParams, u: np.ndarray) -> np.ndarray:
+    """``Re(u^H Sigma_0 u)`` for ``(m, window)`` rows ``u``, from the rank-``reflect_order``
+    form of :func:`sigma0`: ``(block_len |u|^2 + |F_L^H u|^2) / (block_len + reflect_order)``,
+    ``F_L`` the folded samples' DFT columns, so one ``(m, window) @ (window, reflect_order)``
+    product and no ``window x window`` one.
+    """
+    f = _dft_rows(params.block_len, params.window)[:, :params.reflect_order]
+    y = u @ f.conj()
+    energy = np.add.reduce(u.real ** 2 + u.imag ** 2, axis=1)
+    folded = np.add.reduce(y.real ** 2 + y.imag ** 2, axis=1)
+    return (params.block_len * energy + folded) / (params.block_len + params.reflect_order)
+
+
 def sigma0_eigenvalues(params: SystemParams) -> np.ndarray:
     """The eigenvalues of :func:`sigma0`, ascending and read-only; cached per geometry."""
     return _sigma0_eigenvalues(params.block_len, params.reflect_order, params.window)

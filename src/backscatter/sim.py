@@ -6,21 +6,26 @@ fixed bit and channel realization those bins are exactly ``CN(0, Sigma_bit)``
 for white ``u ~ CN(0, I / window)``, which the engine draws instead of
 running the frame chain; :func:`run_trial` keeps the chain as the reference
 that the tests and the benchmark's correctness check compare it against.
-Statistic and threshold are in units of the noise floor. A redrawn trial's
-statistic is ``Re(u^H Sigma_0 u)``, plus :func:`backscatter.exact.signal_form`
-for bit 1. With the realization fixed, ``u^H Sigma_bit u`` has the law of
-``sum_k lambda_k E_k / window`` for the eigenvalues ``lambda`` of ``Sigma_bit``
-and standard exponentials ``E`` (rotate ``u`` into the eigenbasis), so a fixed
-trial draws ``window`` exponentials and no normals. A fixed sweep sets each window
+Statistic and threshold are in units of the noise floor. With the realization
+fixed, ``u^H Sigma_bit u`` has the law of ``sum_k lambda_k E_k / window`` for the
+eigenvalues ``lambda`` of ``Sigma_bit`` and standard exponentials ``E`` (rotate
+``u`` into the eigenbasis), so a fixed trial draws ``window`` exponentials and no
+normals. ``Sigma_0`` depends on the geometry only, so a redrawn bit-0 trial's
+statistic has that law too, and its genie threshold reads its taps only through
+their energies, which for unit ``CN(0, 1)`` taps are standard gammas of shape
+``tag_order + 1`` and ``reflect_order + 1``. A redrawn bit-1 trial draws its taps
+and ``u``, and its statistic is ``Re(u^H Sigma_0 u)`` plus
+:func:`backscatter.exact.signal_form`. A fixed sweep sets each window
 up once: one stacked ``Sigma_1`` and one stacked ``eigvalsh`` over the window's
 cells (:func:`_fixed_realizations`), which work row by row, so every cell gets
 the values a point computed alone gets, bit for bit.
 
 The trials of a point run in blocks of :func:`_block_trials` trials. Each
 block draws from its own SFC64 stream keyed (seed, point, 1, block): first
-its bits, then in redraw mode each trial's tag and reflect taps and its
-``window`` normals, in fixed mode each trial's ``window`` exponentials, and
-it computes its thresholds and statistics on its own, so block sizes are
+its bits; then in redraw mode its bit-0 trials' tag energies, reflect energies
+and ``window`` exponentials each, and its bit-1 trials' tag and reflect taps
+and ``window`` normals each; in fixed mode each trial's ``window`` exponentials.
+It computes its thresholds and statistics on its own, so block sizes are
 part of the stream layout. A fixed channel realization comes from the PCG64
 stream (seed, point, 0). Workers take whole blocks, so every value is
 computed on the same arrays for any worker count and aggregation is a plain
@@ -41,7 +46,7 @@ from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_n
                    derive_params, draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
-from .exact import sigma0, sigma0_eigenvalues, sigma1, signal_form
+from .exact import _sigma0_form, sigma0_eigenvalues, sigma1, signal_form
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
@@ -119,30 +124,42 @@ def run_trial(params: SystemParams, channels: ChannelSet, bit: int, threshold: f
     return TrialOutcome(decided_bit=detect(stat, threshold), statistic=stat)
 
 
-def _thresholds(params: SystemParams, kind: ThresholdKind, tag: np.ndarray,
-                reflect: np.ndarray) -> np.ndarray:
-    """Each trial's genie threshold over the noise floor, from its taps' energies.
+def _thresholds(params: SystemParams, kind: ThresholdKind, tag_energy: np.ndarray,
+                reflect_energy: np.ndarray) -> np.ndarray:
+    """Each trial's genie threshold over the noise floor, from its taps' energies ``sum|taps|^2``.
 
     The ``detector`` forms on arrays: values and errors are the scalar path's,
-    bit for bit.
+    bit for bit, the error that of the first bad trial.
     """
     with np.errstate(over="ignore", invalid="ignore"):      # the check names an overflow
-        scales = energy_scales(params, _tap_energy(tag), _tap_energy(reflect))
+        scales = energy_scales(params, tag_energy, reflect_energy)
     return threshold_for(kind, scales, params.window) / scales.noise_floor
+
+
+# OpenBLAS (0.3.31) runs an (m, k) @ (k, n) complex product on a second thread once
+# m * n * k reaches this.
+_BLAS_THREADED_MNK = 65536
 
 
 def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
     """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel.
 
     A fixed trial keeps ``window`` exponentials, its bit and its statistic, 8 bytes
-    each. Redraw blocks keep the 16-byte words of an earlier kernel (two (w, w) stacks,
-    a lag gather, taps, u, y), since block sizes are part of the stream layout.
+    each. A redraw trial is counted as a bit-1 trial, in 16-byte complex words: the
+    ``k x k`` lagged gather of its ``k = tag_order + 1`` tag taps, the zero-padded tag
+    (``2k``) and its autocorrelation (``k``), its ``k + reflect_order + 1`` taps,
+    ``u``, ``b`` and ``z`` (``window`` each), ``y = F_L^H u`` (``reflect_order``) and
+    its three spectra (``window`` each). A redraw block also holds fewer than
+    ``_BLAS_THREADED_MNK / (window * max(window, k, reflect_order + 1))`` trials: each
+    of its complex products has at most one row per trial, so none reaches the ``m n k``
+    at which OpenBLAS starts a second thread.
     """
-    w, k = params.window, params.tag_order + 1
+    w, k, r = params.window, params.tag_order + 1, params.reflect_order
     if mode is ChannelMode.FIXED_REALIZATION:
         return max(1, BLOCK_BYTES // (8 * (w + 2)))
-    words = 2 * w * w + k * k + 2 * (k + params.reflect_order + 1) + 4 * w
-    return max(1, BLOCK_BYTES // (16 * words))
+    words = k * k + 4 * k + 2 * r + 1 + 6 * w
+    serial = (_BLAS_THREADED_MNK - 1) // (w * max(w, k, r + 1))
+    return max(1, min(BLOCK_BYTES // (16 * words), serial))
 
 
 def _count_errors(params: SystemParams, kind: ThresholdKind,
@@ -152,32 +169,38 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
 
     ``law`` is the fixed realization's threshold and the eigenvalues of ``Sigma_0``
     and ``Sigma_1`` over ``window``, in noise-floor units, and a trial's statistic is
-    its exponentials' sum weighted by its bit's eigenvalues. Without it every trial
-    draws its own taps, gets its threshold from them and adds its bit-1 signal form
-    to ``Re(u^H Sigma_0 u)``. A statistic that is not finite decides 1. Each block
-    draws from its own stream and is computed alone.
+    its exponentials' sum weighted by its bit's eigenvalues. Without it a bit-0 trial
+    takes the fixed bit-0 law, since ``Sigma_0`` depends on the geometry only, and its
+    taps' energies, which are all its threshold reads, as two standard gammas; a bit-1
+    trial draws its taps and adds its signal form to ``Re(u^H Sigma_0 u)``. A
+    statistic that is not finite decides 1. Each block draws from its own stream and
+    is computed alone.
     """
-    w, width = params.window, params.tag_order + 1
+    w, width, r = params.window, params.tag_order + 1, params.reflect_order
     mode = ChannelMode.REDRAW_PER_TRIAL if law is None else ChannelMode.FIXED_REALIZATION
     size = _block_trials(params, mode)
+    lam0 = sigma0_eigenvalues(params) / w if law is None else law[1]
     errors = 0
     for block in range(first, last):
         n = min(size, params.trials - block * size)
         rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
         bits = rng.integers(0, 2, n) == 1
         if law is None:
-            taps = complex_normal(rng, n * (width + params.reflect_order + 1), 1.0).reshape(n, -1)
-            threshold = _thresholds(params, kind, taps[:, :width], taps[:, width:])
-            u = complex_normal(rng, n * w, 1.0 / w).reshape(n, w)
+            zeros, m = ~bits, int(np.count_nonzero(bits))
+            energy = np.empty((2, n))
+            energy[0, zeros] = rng.standard_gamma(width, n - m)
+            energy[1, zeros] = rng.standard_gamma(r + 1, n - m)
+            stat = np.empty(n)
+            stat[zeros] = rng.standard_exponential((n - m, w)) @ lam0
+            taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
+            u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+            tag, reflect = taps[:, :width], taps[:, width:]
+            energy[0, bits], energy[1, bits] = _tap_energy(tag), _tap_energy(reflect)
+            threshold = _thresholds(params, kind, energy[0], energy[1])
             with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
-                # one (n, w) @ (w, w) product: OpenBLAS runs per-trial ones on two threads
-                # from w = 64
-                y = u @ sigma0(params).T
-                stat = np.add.reduce(u.real * y.real + u.imag * y.imag, axis=1)
-                stat[bits] += signal_form(params, taps[bits, :width], taps[bits, width:],
-                                          u[bits])
+                stat[bits] = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
         else:
-            threshold, lam0, lam1 = law
+            threshold, _, lam1 = law
             e = rng.standard_exponential((n, w))
             with np.errstate(over="ignore", invalid="ignore"):      # see estimate_ber
                 stat = np.where(bits, e @ lam1, e @ lam0)
@@ -221,8 +244,9 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     ``Sigma_1`` from :func:`_fixed_realizations`, for a stack of one unless
     :func:`sweep` passes them in as ``_realization``, computes the threshold once
     and reports the matching Gaussian-model prediction. Redraw mode draws
-    channels and recomputes the genie threshold and the bit-1 form for every
-    trial and reports no prediction. Scales without a lift (zero tag gain) raise
+    every trial's tap energies, and a bit-1 trial's taps, recomputes the genie
+    threshold for every trial and the bit-1 form for every bit-1 trial, and
+    reports no prediction. Scales without a lift (zero tag gain) raise
     :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
     before the first trial.
     """

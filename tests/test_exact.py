@@ -55,6 +55,18 @@ def test_lag_form_covariances_match_the_probe(over):
         assert np.max(np.abs(s1 - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("over", [*GEOMETRIES.values(), dict(reflect_order=0)],
+                         ids=[*GEOMETRIES, "reflect-0"])
+def test_sigma0_rank_form_is_the_quadratic_form(over):
+    # the redraw kernel's Re(u^H Sigma_0 u) from Sigma_0's rank-reflect_order form, a
+    # bit-1 block of no trial included
+    p = make_params(**over)
+    u = complex_normal(np.random.default_rng(55), 40 * p.window, 1.0 / p.window).reshape(40, -1)
+    want = np.einsum("mp,pq,mq->m", u.conj(), exact.sigma0(p), u).real
+    assert np.max(np.abs(exact._sigma0_form(p, u) - want)) <= 1e-12 * np.max(want)
+    assert exact._sigma0_form(p, u[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("window", ["geometry", 1, "block_len"])
 @pytest.mark.parametrize("over", list(GEOMETRIES.values()), ids=list(GEOMETRIES))
 def test_closed_form_lag_maps_are_the_shifted_dft_products(over, window):

@@ -20,8 +20,8 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
                          estimate_ber, generator, params_at_snr, run_trial, sim, substream,
                          sweep, threshold_for)
 from backscatter.core import complex_normal
-from backscatter.detector import energy_scales
-from backscatter.exact import sigma0, sigma0_eigenvalues, sigma1, signal_form
+from backscatter.detector import _tap_energy, energy_scales
+from backscatter.exact import sigma0_eigenvalues, sigma1, signal_form
 from chainkit import SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains, reader_spectrum
 
 small_params = partial(make_params, **SHORT)
@@ -200,25 +200,29 @@ def test_redraw_kernel_error_rate_matches_the_chain():
     # redraw mode at a point with a BER near 0.13: the kernel's error count
     # and that of run_trial, on channels, bits and noise from a disjoint
     # stream, agree under Fisher's exact test at a false-alarm rate of 1e-4
-    # over both threshold kinds
-    p = small_params(trials=20_000)
-    q = params_at_snr(p, 6.0)
-    root = np.random.SeedSequence(47)
-    n = 6000
-    chain_errors = dict.fromkeys(ThresholdKind, 0)
-    for t in range(n):
-        rng = generator(substream(root, 1, t))
-        ch = draw_channels(q, rng)
-        bit = int(rng.integers(0, 2))
-        scales = compute_scales(q, ch)
-        stat = run_trial(q, ch, bit, 0.0, rng).statistic
-        for kind in ThresholdKind:
-            chain_errors[kind] += detect(stat, threshold_for(kind, scales, q.window)) != bit
-    for kind in ThresholdKind:
-        rec = estimate_ber(p, kind, ChannelMode.REDRAW_PER_TRIAL, 6.0, substream(root, 0))
-        assert 0.05 < rec.empirical_ber < 0.4
-        errors = round(rec.empirical_ber * rec.trials)
-        assert fisher_exact(errors, rec.trials, chain_errors[kind], n) > 5e-5
+    # over both threshold kinds; and at a bit-0-heavy point, W=8, 0 dB, with
+    # the equiprobable threshold (BER near 0.18, a third of it false alarms
+    # at a rate near 0.12), which holds the bit-0 law to the chain
+    for over, snr, kinds, seed in ((dict(), 6.0, list(ThresholdKind), 47),
+                                   (dict(window=8), 0.0, [ThresholdKind.EQUIPROBABLE], 48)):
+        p = small_params(trials=20_000, **over)
+        q = params_at_snr(p, snr)
+        root = np.random.SeedSequence(seed)
+        n = 6000
+        chain_errors = dict.fromkeys(kinds, 0)
+        for t in range(n):
+            rng = generator(substream(root, 1, t))
+            ch = draw_channels(q, rng)
+            bit = int(rng.integers(0, 2))
+            scales = compute_scales(q, ch)
+            stat = run_trial(q, ch, bit, 0.0, rng).statistic
+            for kind in kinds:
+                chain_errors[kind] += detect(stat, threshold_for(kind, scales, q.window)) != bit
+        for kind in kinds:
+            rec = estimate_ber(p, kind, ChannelMode.REDRAW_PER_TRIAL, snr, substream(root, 0))
+            assert 0.05 < rec.empirical_ber < 0.4
+            errors = round(rec.empirical_ber * rec.trials)
+            assert fisher_exact(errors, rec.trials, chain_errors[kind], n) > 5e-5
 
 
 def test_fixed_kernel_error_rate_matches_the_chain():
@@ -329,6 +333,35 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
         assert [first for first, _ in ranges] + [blocks] == [0] + [last for _, last in ranges]
 
 
+def redraw_trials(q, point, block, n):
+    """Block ``block`` of ``n`` trials of a redraw point, replayed trial by trial in the
+    documented layout: the block's SFC64 generator on substream(point, 1, block) draws its
+    bits, then its bit-0 trials' tag energies and reflect energies (standard gammas of
+    shape tag_order + 1 and reflect_order + 1) and their window standard exponentials E,
+    then its bit-1 trials' tag then reflect taps and their window normals u of power
+    1 / window. Per trial, in trial order: ``(bit, tag_energy, reflect_energy, x)``, with
+    ``x`` its E for bit 0 and its ``(tag, reflect, u)`` for bit 1.
+    """
+    w, width, taps_per_trial = q.window, q.tag_order + 1, q.tag_order + q.reflect_order + 2
+    rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+    bits = rng.integers(0, 2, n)
+    m = int(bits.sum())
+    zeros = zip(rng.standard_gamma(width, n - m), rng.standard_gamma(q.reflect_order + 1, n - m),
+                rng.standard_exponential((n - m, w)))
+    taps = complex_normal(rng, m * taps_per_trial, 1.0).reshape(m, taps_per_trial)
+    normals = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+    ones = ((row[:width], row[width:], u) for row, u in zip(taps, normals))
+    trials = []
+    for bit in bits.tolist():
+        if bit:
+            tag, reflect, u = next(ones)
+            trials.append((1, float(_tap_energy(tag)), float(_tap_energy(reflect)),
+                           (tag, reflect, u)))
+        else:
+            trials.append((0, *next(zeros)))
+    return trials
+
+
 def fixed_law(q, kind, point):
     """The fixed kernel's law at a point: threshold and both eigenvalue sets, over the floor."""
     ch = draw_channels(q, generator(substream(point, 0)))
@@ -343,42 +376,45 @@ def fixed_law(q, kind, point):
 def test_trial_streams_are_keyed_per_block(mode, kind):
     # replay the documented layout one trial at a time: block b of a point
     # draws from an SFC64 generator on substream(point, 1, b), in order, the
-    # block's bits, then in redraw mode each trial's tag then reflect taps and
-    # its window normals u of power 1 / window, and the trial decides 1 when
-    # Re(u^H Sigma_bit u) exceeds its threshold over the noise floor; in fixed
-    # mode each trial's window standard exponentials E, and the trial decides
-    # 1 when E . lambda_bit, the eigenvalues of Sigma_bit over window, exceeds
-    # it. Fixed channels come from generator(substream(point, 0)). Three
-    # blocks of the mode's b trials, the last one short. At this point a map
-    # with the same law, |chol(Sigma_bit) u|^2 or E . reversed(lambda_bit),
-    # decides some trial otherwise in every case, so the replay pins the map
-    # and not only the law.
+    # block's bits, then in redraw mode its draws as redraw_trials replays
+    # them: a bit-0 trial decides 1 when E . lambda_0, the eigenvalues of
+    # Sigma_0 over window, exceeds the threshold of its two tap energies over
+    # the noise floor, and a bit-1 trial when Re(u^H Sigma_1 u) exceeds that
+    # of its taps; in fixed mode each trial's window standard exponentials E,
+    # and the trial decides 1 when E . lambda_bit, the eigenvalues of
+    # Sigma_bit over window, exceeds it. Fixed channels come from
+    # generator(substream(point, 0)). Three blocks of the mode's b trials,
+    # the last one short. At this point a map with the same law,
+    # E . reversed(lambda_bit) or, for redraw bit-1 trials,
+    # |chol(Sigma_1) u|^2, decides some trial otherwise in every case, so the
+    # replay pins the map and not only the law.
     b = sim._block_trials(small_params(), mode)
     p = small_params(trials=2 * b + 9)
     q = params_at_snr(p, 14.0)
     point = np.random.SeedSequence(8)
-    w, width = q.window, q.tag_order + 1
-    fixed = draw_channels(q, generator(substream(point, 0)))
+    w = q.window
     th, *lams = fixed_law(q, kind, point)
     errors = other_errors = 0
     for block in range(3):
-        rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
         n = min(b, q.trials - block * b)
-        bits = rng.integers(0, 2, n)
         if mode is ChannelMode.FIXED_REALIZATION:
+            rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+            bits = rng.integers(0, 2, n)
             for bit, e in zip(bits, rng.standard_exponential((n, w))):
                 errors += (np.dot(e, lams[bit]) > th) != bit
                 other_errors += (np.dot(e, lams[bit][::-1]) > th) != bit
             continue
-        taps = complex_normal(rng, n * (width + q.reflect_order + 1), 1.0).reshape(n, -1)
-        channels = [ChannelSet(fixed.direct, row[:width], row[width:]) for row in taps]
-        normals = complex_normal(rng, n * w, 1.0 / w).reshape(n, w)
-        for bit, ch, u in zip(bits, channels, normals):
-            scales = compute_scales(q, ch)
+        for bit, tag_energy, reflect_energy, x in redraw_trials(q, point, block, n):
+            scales = energy_scales(q, tag_energy, reflect_energy)
             th = threshold_for(kind, scales, w) / scales.noise_floor
-            cov = sigma1(q, ch.tag[None], ch.reflect[None])[0] if bit else sigma0(q)
-            errors += (np.vdot(u, cov @ u).real > th) != bit
-            other_errors += (np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) > th) != bit
+            if bit:
+                tag, reflect, u = x
+                cov = sigma1(q, tag[None], reflect[None])[0]
+                errors += np.vdot(u, cov @ u).real <= th
+                other_errors += np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) <= th
+            else:
+                errors += np.dot(x, lams[0]) > th
+                other_errors += np.dot(x, lams[0][::-1]) > th
     assert other_errors != errors
     rec = estimate_ber(p, kind, mode, 14.0, point)
     assert rec.empirical_ber == errors / q.trials
@@ -441,18 +477,19 @@ def test_array_thresholds_equal_the_scalar_path(kind, window):
         np.abs(taps[:, width:]) ** 2, axis=1)
     taps *= ((target / (unit * energy)) ** 0.25)[:, None]
     scales = [compute_scales(q, ChannelSet(None, row[:width], row[width:])) for row in taps]
-    got = sim._thresholds(q, kind, taps[:, :width], taps[:, width:]).tolist()
+    got = sim._thresholds(q, kind, _tap_energy(taps[:, :width]),
+                          _tap_energy(taps[:, width:])).tolist()
     assert got == [threshold_for(kind, s, window) / s.noise_floor for s in scales]
     ratios = [s.signal_lift / s.noise_floor for s in scales]
     assert min(ratios) < 1e-11 and max(ratios) > 1e305
 
 
-def scalar_error(q, kind, taps, width):
-    """The exception the scalar path raises on the first bad row of ``taps``, or None."""
-    for row in taps:
+def scalar_error(q, kind, energies):
+    """The exception the scalar path raises on the first bad (tag, reflect) energy pair, or
+    None."""
+    for tag_energy, reflect_energy in energies:
         try:
-            threshold_for(kind, compute_scales(q, ChannelSet(None, row[:width], row[width:])),
-                          q.window)
+            threshold_for(kind, energy_scales(q, tag_energy, reflect_energy), q.window)
         except ValueError as exc:
             return exc
     return None
@@ -471,11 +508,12 @@ def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energi
     width = q.tag_order + 1
     taps = np.zeros((len(energies), width + q.reflect_order + 1), dtype=complex)
     taps[:, 0], taps[:, width] = np.sqrt(energies).T
-    assert scalar_error(q, kind, taps[:1], width) is None
-    first, second = scalar_error(q, kind, taps[1:2], width), scalar_error(q, kind, taps[2:], width)
+    pairs = [(float(_tap_energy(row[:width])), float(_tap_energy(row[width:]))) for row in taps]
+    assert scalar_error(q, kind, pairs[:1]) is None
+    first, second = scalar_error(q, kind, pairs[1:2]), scalar_error(q, kind, pairs[2:])
     assert type(first) is type(second) is error and str(first) != str(second)
     with pytest.raises(error) as got:
-        sim._thresholds(q, kind, taps[:, :width], taps[:, width:])
+        sim._thresholds(q, kind, _tap_energy(taps[:, :width]), _tap_energy(taps[:, width:]))
     assert type(got.value) is error and str(got.value) == str(first)
 
 
@@ -483,20 +521,18 @@ def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energi
 @pytest.mark.parametrize("gain,error", [(0.0, DegenerateScales), (1e151, ValueError)])
 def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     # zero gain has no lift in any trial; at 1e151 only trials with large tap
-    # energies overflow, so the first bad trial is not the first trial
+    # energies overflow, so the first bad trial is not the first trial; the
+    # block's energies, of bit-0 and bit-1 trials alike, in trial order
     b = sim._block_trials(make_params(), ChannelMode.REDRAW_PER_TRIAL)
     q = params_at_snr(make_params(tag_gain=gain, trials=2 * b), 20.0)
-    width = q.tag_order + 1
     point = np.random.SeedSequence(42)
-    rng = np.random.Generator(np.random.SFC64(substream(point, 1, 0)))
-    rng.integers(0, 2, b)       # the block's bits come first
-    taps = complex_normal(rng, b * (width + q.reflect_order + 1), 1.0).reshape(b, -1)
-    want = scalar_error(q, kind, taps, width)
+    pairs = [(tag, reflect) for _, tag, reflect, _ in redraw_trials(q, point, 0, b)]
+    want = scalar_error(q, kind, pairs)
     assert type(want) is error
     if gain:
-        assert scalar_error(q, kind, taps[:1], width) is None
+        assert scalar_error(q, kind, pairs[:1]) is None
     with pytest.raises(error) as got:
-        sim._thresholds(q, kind, taps[:, :width], taps[:, width:])
+        sim._thresholds(q, kind, *np.array(pairs).T)
     assert type(got.value) is error and str(got.value) == str(want)
     with pytest.raises(error) as got:
         estimate_ber(q, kind, ChannelMode.REDRAW_PER_TRIAL, 20.0, point)
@@ -504,7 +540,7 @@ def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
 
 
 def test_pool_raises_the_serial_error():
-    # the second cell overflows in each of its four blocks, first at trial 11
+    # the second cell overflows in each of its four blocks, first at trial 25
     # of block 0, and each of two workers' chunks of two blocks raises at its
     # own first bad trial: the pool raises the first chunk's error, the one a
     # serial sweep raises. A floor below 1 overflows lift / floor while the
@@ -528,13 +564,10 @@ def test_statistics_past_the_largest_double_decide_one():
     # never reaches it, so the point makes no error
     b = sim._block_trials(small_params(), ChannelMode.REDRAW_PER_TRIAL)
     q = params_at_snr(small_params(trials=b, noise_power=1e-6, tag_gain=5e152), 10.0)
-    w, width = q.window, q.tag_order + 1
     point = np.random.SeedSequence(59)
-    rng = np.random.Generator(np.random.SFC64(substream(point, 1, 0)))
-    bits = rng.integers(0, 2, b) == 1
-    taps = complex_normal(rng, b * (width + q.reflect_order + 1), 1.0).reshape(b, -1)
-    u = complex_normal(rng, b * w, 1.0 / w).reshape(b, w)
-    form = signal_form(q, taps[bits, :width], taps[bits, width:], u[bits])
+    tag, reflect, u = map(np.stack, zip(*(x for bit, _, _, x in redraw_trials(q, point, 0, b)
+                                          if bit)))
+    form = signal_form(q, tag, reflect, u)
     assert not np.isfinite(form).all()
     rec = estimate_ber(q, ThresholdKind.OPTIMAL, ChannelMode.REDRAW_PER_TRIAL, 10.0, point)
     assert rec.empirical_ber == 0
