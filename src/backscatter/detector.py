@@ -129,12 +129,13 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     """
     lift, floor = _check_scales(scales, window)
     r = lift / floor
-    # lg / r stays near 1 where 2 / r would overflow; per-trial lifts also take
-    # math's log1p, since numpy's can differ in the last bit
+    # lg / r stays near 1 where 2 / r would overflow; a scalar lift also takes numpy's
+    # log1p, since math's can differ from it in the last bit, so per-trial arrays give
+    # the scalar path's thresholds bit for bit
     if isinstance(r, np.ndarray):
-        lg, sqrt = np.array([math.log1p(x) for x in r.tolist()]), np.sqrt
+        lg, sqrt = np.log1p(r), np.sqrt
     else:
-        lg, sqrt = math.log1p(r), math.sqrt
+        lg, sqrt = float(np.log1p(r)), math.sqrt
     return (floor * ((1.0 + r) / (2.0 + r))
             * (1.0 + sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
 

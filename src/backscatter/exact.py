@@ -40,6 +40,21 @@ from .core import ChannelSet, SystemParams
 from .detector import energy_scales
 
 
+# OpenBLAS (0.3.31) runs an (m, k) @ (k, n) complex product on a second thread once
+# m * n * k reaches this.
+_BLAS_THREADED_MNK = 65536
+
+
+def _row_chunks(rows: int, n: int) -> list[slice]:
+    """``rows`` rows in near-equal chunks of at most ``(_BLAS_THREADED_MNK - 1) // n^2``
+    rows, so that no ``(chunk, n) @ (n, n)`` product reaches OpenBLAS's threading size;
+    a chunk has one row only if there is one row, or if ``n^2`` is over a third of that
+    size.
+    """
+    chunks = max(1, -(-rows // max(1, (_BLAS_THREADED_MNK - 1) // n ** 2)))
+    return [slice(i * rows // chunks, (i + 1) * rows // chunks) for i in range(chunks)]
+
+
 @lru_cache(maxsize=8)
 def _dft_rows(block_len: int, window: int) -> np.ndarray:
     """``F_W``, read-only: the first ``window`` rows of the ``block_len``-point DFT."""
@@ -127,16 +142,17 @@ def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray
 def _spectra(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> tuple:
     """``(h, h_n, H_r, C)``: ``h = rho Omega``, ``h_n = rho Omega_n`` and ``H_r`` per stacked row.
 
-    Taps stacked as ``(m, k)`` take one ``(m, k) @ (k, window)`` product each. Stacked as
-    ``(m, 1, k)``, every row's product is the one-row call that a stack of one makes, so
-    its values do not depend, bit for bit, on what is stacked with it.
+    The autocorrelation ``rho`` is one row-wise sum per lag. Taps stacked as ``(m, k)``
+    then take one ``(m, k) @ (k, window)`` product each. Stacked as ``(m, 1, k)``, every
+    row's product is the one-row call that a stack of one makes, so its values do not
+    depend, bit for bit, on what is stacked with it.
     """
     k = tag.shape[-1]
     omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
     # rho[..., d] = sum_j tag[..., j + d] conj(tag[..., j]) for d = 0 .. k - 1
-    padded = np.concatenate([tag, np.zeros_like(tag)], axis=-1)
-    lagged = np.take(padded, np.add.outer(range(k), range(k)), axis=-1)
-    rho = np.matmul(lagged, tag.conj()[..., None])[..., 0]
+    conj, rho = tag.conj(), np.empty_like(tag)
+    for d in range(k):
+        np.einsum("...j,...j->...", tag[..., d:], conj[..., :k - d], out=rho[..., d])
     h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[-1]].T
     return rho @ omega, rho @ omega_n, h_r, c
 
@@ -174,14 +190,17 @@ def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
     """``Re(u^H (Sigma_1 - Sigma_0) u)`` for stacked tap sets and ``(m, window)`` normals.
 
-    With ``b = conj(H_r) u`` and ``z = C b`` it is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 -
-    4 Im(h_p) Im(conj(b_p) z_p)]``, ``O(window^2 + k window)`` work per trial; as
-    ``amp`` multiplies the sum last, the form overflows only to ``+inf``.
+    With ``b = conj(H_r) u`` and ``z = C b``, taken in row chunks (:func:`_row_chunks`),
+    it is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 - 4 Im(h_p) Im(conj(b_p) z_p)]``,
+    ``O(window^2 + k window)`` work per trial; as ``amp`` multiplies the sum last, the
+    form overflows only to ``+inf``.
     """
     h, h_n, h_r, c = _spectra(params, tag, reflect)
     amp = _amp(params, params.source_power)
     b = h_r.conj() * u
-    z = b @ c.T
+    z = np.empty_like(b)
+    for rows in _row_chunks(*b.shape):
+        np.matmul(b[rows], c.T, out=z[rows])
     form = (2 * h_n.real * (b.real ** 2 + b.imag ** 2)
             - 4 * h.imag * (b.real * z.imag - b.imag * z.real)).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):

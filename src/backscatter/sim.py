@@ -46,7 +46,8 @@ from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_n
                    derive_params, draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
-from .exact import _sigma0_form, sigma0_eigenvalues, sigma1, signal_form
+from .exact import (_BLAS_THREADED_MNK, _sigma0_form, sigma0_eigenvalues, sigma1,
+                    signal_form)
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
@@ -136,29 +137,24 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag_energy: np.ndarra
     return threshold_for(kind, scales, params.window) / scales.noise_floor
 
 
-# OpenBLAS (0.3.31) runs an (m, k) @ (k, n) complex product on a second thread once
-# m * n * k reaches this.
-_BLAS_THREADED_MNK = 65536
-
-
 def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
     """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel.
 
     A fixed trial keeps ``window`` exponentials, its bit and its statistic, 8 bytes
-    each. A redraw trial is counted as a bit-1 trial, in 16-byte complex words: the
-    ``k x k`` lagged gather of its ``k = tag_order + 1`` tag taps, the zero-padded tag
-    (``2k``) and its autocorrelation (``k``), its ``k + reflect_order + 1`` taps,
-    ``u``, ``b`` and ``z`` (``window`` each), ``y = F_L^H u`` (``reflect_order``) and
-    its three spectra (``window`` each). A redraw block also holds fewer than
-    ``_BLAS_THREADED_MNK / (window * max(window, k, reflect_order + 1))`` trials: each
-    of its complex products has at most one row per trial, so none reaches the ``m n k``
-    at which OpenBLAS starts a second thread.
+    each. A redraw trial is counted as a bit-1 trial, in 16-byte complex words: its
+    ``k + reflect_order + 1`` taps (``k = tag_order + 1``), the conjugated tag and its
+    autocorrelation (``k`` each), ``u``, ``b`` and ``z`` (``window`` each), ``y = F_L^H
+    u`` (``reflect_order``) and its three spectra (``window`` each). A redraw block also
+    holds fewer than ``_BLAS_THREADED_MNK / (window * max(k, reflect_order + 1))``
+    trials: each of its complex products has at most one row per trial and ``C b`` is
+    taken in row chunks (:func:`backscatter.exact._row_chunks`), so none reaches the
+    ``m n k`` at which OpenBLAS starts a second thread.
     """
     w, k, r = params.window, params.tag_order + 1, params.reflect_order
     if mode is ChannelMode.FIXED_REALIZATION:
         return max(1, BLOCK_BYTES // (8 * (w + 2)))
-    words = k * k + 4 * k + 2 * r + 1 + 6 * w
-    serial = (_BLAS_THREADED_MNK - 1) // (w * max(w, k, r + 1))
+    words = 3 * k + 2 * r + 1 + 6 * w
+    serial = (_BLAS_THREADED_MNK - 1) // (w * max(k, r + 1))
     return max(1, min(BLOCK_BYTES // (16 * words), serial))
 
 

@@ -104,6 +104,22 @@ def test_signal_form_is_the_probed_bit1_excess(over):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_signal_form_over_several_row_chunks_is_the_one_row_calls():
+    # at W=32 a chunk of C b holds at most 63 rows, so 200 bit-1 trials take four; each
+    # row's form is the one it gets alone
+    p = make_params(window=32)
+    m, width = 200, p.tag_order + 1
+    assert len(exact._row_chunks(m, p.window)) > 1
+    rng = np.random.default_rng(56)
+    taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
+    u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
+    tag, reflect = taps[:, :width], taps[:, width:]
+    got = exact.signal_form(p, tag, reflect, u)
+    want = [exact.signal_form(p, t[None], r[None], x[None])[0]
+            for t, r, x in zip(tag, reflect, u)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sigma1_of_no_realization_is_empty():
     # a redraw block whose bits are all 0 builds no bit-1 covariance
     p = make_params()

@@ -17,8 +17,8 @@ import pytest
 
 from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfig, ThresholdKind,
                          compute_scales, detect, draw_channels, energy_statistics,
-                         estimate_ber, generator, params_at_snr, run_trial, sim, substream,
-                         sweep, threshold_for)
+                         estimate_ber, exact, generator, params_at_snr, run_trial, sim,
+                         substream, sweep, threshold_for)
 from backscatter.core import complex_normal
 from backscatter.detector import _tap_energy, energy_scales
 from backscatter.exact import sigma0_eigenvalues, sigma1, signal_form
@@ -346,7 +346,8 @@ def redraw_trials(q, point, block, n):
     rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
     bits = rng.integers(0, 2, n)
     m = int(bits.sum())
-    zeros = zip(rng.standard_gamma(width, n - m), rng.standard_gamma(q.reflect_order + 1, n - m),
+    zeros = zip(rng.standard_gamma(width, n - m).tolist(),
+                rng.standard_gamma(q.reflect_order + 1, n - m).tolist(),
                 rng.standard_exponential((n - m, w)))
     taps = complex_normal(rng, m * taps_per_trial, 1.0).reshape(m, taps_per_trial)
     normals = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
@@ -439,6 +440,25 @@ def test_blocks_are_computed_alone(mode, window):
         assert estimate_ber(q, kind, mode, 14.0, point, workers=workers) == serial
 
 
+@pytest.mark.parametrize("over", [{}, SHORT], ids=["reference", "short"])
+def test_redraw_block_products_stay_below_the_threading_size(over):
+    # every complex product of a redraw block, for any count m of its bit-1 trials, stays
+    # below the m n k at which OpenBLAS starts a second thread: the spectra and Sigma_0
+    # form, one row per trial against at most max(k, reflect_order + 1) columns, and
+    # C b, whose row chunks are near-equal and of one row only when m is 1
+    for w in range(1, min(64, make_params(**over).block_len) + 1):
+        p = make_params(**{**over, "window": w})
+        b = sim._block_trials(p, ChannelMode.REDRAW_PER_TRIAL)
+        assert b * w * max(p.tag_order + 1, p.reflect_order + 1) < exact._BLAS_THREADED_MNK
+        for m in range(b + 1):
+            chunks = exact._row_chunks(m, w)
+            sizes = [rows.stop - rows.start for rows in chunks]
+            assert [rows.start for rows in chunks[1:]] == [rows.stop for rows in chunks[:-1]]
+            assert chunks[0].start == 0 and chunks[-1].stop == m
+            assert max(sizes) * w * w < exact._BLAS_THREADED_MNK
+            assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2 or m <= 1)
+
+
 @pytest.mark.parametrize("window", [2, 8, 16])
 def test_kernel_memory_is_bounded_per_block(window):
     # the peak of numpy's traced allocations over a redraw chunk is set by
@@ -521,11 +541,11 @@ def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energi
 @pytest.mark.parametrize("gain,error", [(0.0, DegenerateScales), (1e151, ValueError)])
 def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     # zero gain has no lift in any trial; at 1e151 only trials with large tap
-    # energies overflow, so the first bad trial is not the first trial; the
-    # block's energies, of bit-0 and bit-1 trials alike, in trial order
+    # energies overflow, so at this point the first bad trial is not the first
+    # trial; the block's energies, of bit-0 and bit-1 trials alike, in trial order
     b = sim._block_trials(make_params(), ChannelMode.REDRAW_PER_TRIAL)
     q = params_at_snr(make_params(tag_gain=gain, trials=2 * b), 20.0)
-    point = np.random.SeedSequence(42)
+    point = np.random.SeedSequence(43)
     pairs = [(tag, reflect) for _, tag, reflect, _ in redraw_trials(q, point, 0, b)]
     want = scalar_error(q, kind, pairs)
     assert type(want) is error
