@@ -139,64 +139,54 @@ def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray
     return omega, omega_n, c
 
 
-def _spectra(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> tuple:
-    """``(h, h_n, H_r, C)``: ``h = rho Omega``, ``h_n = rho Omega_n`` and ``H_r`` per stacked row.
-
-    The autocorrelation ``rho`` is one row-wise sum per lag. Taps stacked as ``(m, k)``
-    then take one ``(m, k) @ (k, window)`` product each. Stacked as ``(m, 1, k)``, every
-    row's product is the one-row call that a stack of one makes, so its values do not
-    depend, bit for bit, on what is stacked with it.
-    """
-    k = tag.shape[-1]
-    omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
-    # rho[..., d] = sum_j tag[..., j + d] conj(tag[..., j]) for d = 0 .. k - 1
-    conj, rho = tag.conj(), np.empty_like(tag)
-    for d in range(k):
-        np.einsum("...j,...j->...", tag[..., d:], conj[..., :k - d], out=rho[..., d])
-    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[-1]].T
-    return rho @ omega, rho @ omega_n, h_r, c
-
-
-def _amp(params: SystemParams, source_power: float | np.ndarray) -> float | np.ndarray:
-    """``|tag_gain| sqrt(source_power / floor)``, for one source power or an array of them."""
+def _amp(params: SystemParams) -> float:
+    """``|tag_gain| sqrt(source_power / floor)``."""
     floor = energy_scales(params, 0.0, 0.0).noise_floor
-    return abs(params.tag_gain) * (np.sqrt(source_power) / math.sqrt(floor))
+    return abs(params.tag_gain) * (math.sqrt(params.source_power) / math.sqrt(floor))
 
 
-def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray, *,
-           source_power: np.ndarray | None = None) -> np.ndarray:
-    """``Sigma_1 / floor``, ``(m, window, window)``, for tap sets stacked on the leading axis.
+def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+    """``Sigma_1 / floor``, ``window x window``, for one realization's tag and reflect taps.
 
     It is ``Sigma_0 + amp^2 diag(H_r) (K + K^H) diag(H_r)^H``, with ``K[p, q] =
-    (h_p - h_q) C[p, q] + delta_pq h_n,p``. ``source_power`` gives each row its own
-    power (and ``amp``) in place of ``params.source_power``; a row equals the one-row
-    call at its power bit for bit, as its spectra are taken row by row (see
-    :func:`_spectra`). A lift/floor within a few orders of the largest double can overflow
-    entries to inf or nan; every threshold lies below 40 noise floors there, so the kernel
-    decides 1 where a statistic is not finite, and fixed mode every bit-1 trial where
-    ``Sigma_1`` is not.
+    (h_p - h_q) C[p, q] + delta_pq h_n,p``, ``h = rho Omega`` and ``h_n = rho Omega_n``.
+    A lift/floor within a few orders of the largest double can overflow entries to inf
+    or nan; every threshold lies below 40 noise floors there, so fixed mode decides 1
+    every bit-1 trial where ``Sigma_1`` is not finite, and the kernel every trial whose
+    statistic is not.
     """
-    h, h_n, h_r, c = _spectra(params, tag[:, None], reflect[:, None])
-    h, h_n, h_r = h[:, 0], h_n[:, 0], h_r[:, 0]
-    power = params.source_power if source_power is None else source_power[:, None, None]
-    amp = _amp(params, power)
-    k = (h[:, :, None] - h[:, None, :]) * c + h_n[:, :, None] * np.eye(params.window)
-    x = h_r[:, :, None] * k * h_r.conj()[:, None, :]
+    k = len(tag)
+    omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
+    rho = np.correlate(tag, tag, "full")[k - 1:]    # rho[d] = sum_j tag[j + d] conj(tag[j])
+    h, h_n = rho @ omega, rho @ omega_n
+    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :len(reflect)].T
+    amp = _amp(params)
+    x = h_r[:, None] * ((h[:, None] - h) * c + np.diag(h_n)) * h_r.conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        return sigma0(params) + amp * (amp * (x + x.conj().transpose(0, 2, 1)))
+        return sigma0(params) + amp * (amp * (x + x.conj().T))
 
 
 def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
-    """``Re(u^H (Sigma_1 - Sigma_0) u)`` for stacked tap sets and ``(m, window)`` normals.
+    """``Re(u^H (Sigma_1 - Sigma_0) u)`` for ``(m, k)`` tag and ``(m, reflect_order + 1)``
+    reflect taps and ``(m, window)`` normals.
 
-    With ``b = conj(H_r) u`` and ``z = C b``, taken in row chunks (:func:`_row_chunks`),
-    it is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 - 4 Im(h_p) Im(conj(b_p) z_p)]``,
-    ``O(window^2 + k window)`` work per trial; as ``amp`` multiplies the sum last, the
-    form overflows only to ``+inf``.
+    The autocorrelation ``rho`` of each row is one row-wise sum per lag, which costs
+    less over a block than one ``np.correlate`` per row. With the lag spectra ``h``,
+    ``h_n`` and ``H_r`` of :func:`sigma1`, ``b = conj(H_r) u`` and ``z = C b``, taken in
+    row chunks (:func:`_row_chunks`), it is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 - 4
+    Im(h_p) Im(conj(b_p) z_p)]``, ``O(window^2 + k window)`` work per trial; as ``amp``
+    multiplies the sum last, the form overflows only to ``+inf``.
     """
-    h, h_n, h_r, c = _spectra(params, tag, reflect)
-    amp = _amp(params, params.source_power)
+    k = tag.shape[1]
+    omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
+    # rho[:, d] = sum_j tag[:, j + d] conj(tag[:, j]) for d = 0 .. k - 1
+    conj, rho = tag.conj(), np.empty_like(tag)
+    for d in range(k):
+        np.einsum("mj,mj->m", tag[:, d:], conj[:, :k - d], out=rho[:, d])
+    h, h_n = rho @ omega, rho @ omega_n
+    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[1]].T
+    amp = _amp(params)
     b = h_r.conj() * u
     z = np.empty_like(b)
     for rows in _row_chunks(*b.shape):

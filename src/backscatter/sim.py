@@ -15,9 +15,9 @@ statistic has that law too, and its genie threshold reads its taps only through
 their energies, which for unit ``CN(0, 1)`` taps are standard gammas of shape
 ``tag_order + 1`` and ``reflect_order + 1``. A redrawn bit-1 trial draws its taps
 and ``u``, and its statistic is ``Re(u^H Sigma_0 u)`` plus
-:func:`backscatter.exact.signal_form`. A fixed sweep sets each window
-up once: one stacked ``Sigma_1`` and one stacked ``eigvalsh`` over the window's
-cells (:func:`_fixed_realizations`), which work row by row, so every cell gets
+:func:`backscatter.exact.signal_form`. A fixed sweep builds each cell's
+``Sigma_1`` on its own and takes a window's eigenvalues in one stacked ``eigvalsh``
+(:func:`_fixed_realizations`), which factors each matrix alone, so every cell gets
 the values a point computed alone gets, bit for bit.
 
 The trials of a point run in blocks of :func:`_block_trials` trials. Each
@@ -209,12 +209,11 @@ def _fixed_realizations(cells: list[tuple[SystemParams, np.random.SeedSequence]]
     """Each fixed cell's channel realization and ``Sigma_1`` eigenvalues over ``window``.
 
     The cells share one window's geometry and may differ in source power. Each draws its
-    channels from its own PCG64 stream (point, 0). One stacked :func:`sigma1`, with each
-    row at its cell's power, builds every ``Sigma_1`` and one stacked ``eigvalsh`` takes
-    the eigenvalues of the finite ones; both work row by row, so each cell's values are
-    those of a stack of one, bit for bit. A ``Sigma_1`` with entries that overflowed gets
-    infinite eigenvalues, so every bit-1 trial decides 1. Stacks hold up to
-    ``BLOCK_BYTES`` of covariances.
+    channels from its own PCG64 stream (point, 0) and builds its ``Sigma_1`` with
+    :func:`sigma1`; one stacked ``eigvalsh``, which factors each matrix alone, takes the
+    eigenvalues of the finite ones, so each cell's values are those of a stack of one,
+    bit for bit. A ``Sigma_1`` with entries that overflowed gets infinite eigenvalues, so
+    every bit-1 trial decides 1. Stacks hold up to ``BLOCK_BYTES`` of covariances.
     """
     p = cells[0][0]
     size = max(1, BLOCK_BYTES // (16 * p.window * p.window))
@@ -222,9 +221,8 @@ def _fixed_realizations(cells: list[tuple[SystemParams, np.random.SeedSequence]]
     lam1 = np.full((len(cells), p.window), math.inf)
     for first in range(0, len(cells), size):
         chunk = slice(first, first + size)
-        cov = sigma1(p, np.stack([ch.tag for ch in channels[chunk]]),
-                     np.stack([ch.reflect for ch in channels[chunk]]),
-                     source_power=np.array([q.source_power for q, _ in cells[chunk]]))
+        cov = np.stack([sigma1(q, ch.tag, ch.reflect)
+                        for (q, _), ch in zip(cells[chunk], channels[chunk])])
         finite = np.isfinite(cov).all(axis=(1, 2))
         if finite.any():
             lam1[chunk][finite] = np.linalg.eigvalsh(cov[finite])
@@ -284,8 +282,8 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
     window's parameters are derived once. Each cell gets its own substream
     keyed by enumeration order, so a rerun with the same stream reproduces
     every record bit for bit. In fixed mode a window's cells get their
-    realizations from one stacked :func:`_fixed_realizations`, which gives
-    each cell what :func:`estimate_ber` computes for it alone.
+    realizations from one :func:`_fixed_realizations` call, which gives each
+    cell what :func:`estimate_ber` computes for it alone.
     """
     for name, axis in (("snr_values", snr_values), ("w_values", w_values), ("kinds", kinds)):
         if not axis:

@@ -1,11 +1,15 @@
 """The tests' one copy of the parameter builders, the per-trial chain
-``source -> tag_input -> tag_gate(bit) -> synth_reader_rx`` and the oracles
-built on them. A test module that needs other defaults binds them in one line.
+``source -> tag_input -> tag_gate(bit) -> synth_reader_rx``, the oracles
+built on them and the trial-by-trial replay of a redraw block's draws. A test
+module that needs other defaults binds them in one line.
 """
 import numpy as np
 
 from backscatter import (FrameOrigin, SymbolFrame, cancel_interference, derive_params, dft,
-                         fold, gen_source_symbol, synth_reader_rx, tag_gate, tag_input)
+                         fold, gen_source_symbol, substream, synth_reader_rx, tag_gate,
+                         tag_input)
+from backscatter.core import complex_normal
+from backscatter.detector import _tap_energy
 
 REFERENCE = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                  tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8, trials=100)
@@ -83,3 +87,33 @@ def circulant(col):
     """Circulant matrix with first column ``col``: entry (i, j) is ``col[(i - j) % n]``."""
     n = len(col)
     return col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
+def redraw_trials(q, point, block, n):
+    """Block ``block`` of ``n`` trials of a redraw point, replayed trial by trial in the
+    documented layout: the block's SFC64 generator on substream(point, 1, block) draws its
+    bits, then its bit-0 trials' tag energies and reflect energies (standard gammas of
+    shape tag_order + 1 and reflect_order + 1) and their window standard exponentials E,
+    then its bit-1 trials' tag then reflect taps and their window normals u of power
+    1 / window. Per trial, in trial order: ``(bit, tag_energy, reflect_energy, x)``, with
+    ``x`` its E for bit 0 and its ``(tag, reflect, u)`` for bit 1.
+    """
+    w, width, taps_per_trial = q.window, q.tag_order + 1, q.tag_order + q.reflect_order + 2
+    rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+    bits = rng.integers(0, 2, n)
+    m = int(bits.sum())
+    zeros = zip(rng.standard_gamma(width, n - m).tolist(),
+                rng.standard_gamma(q.reflect_order + 1, n - m).tolist(),
+                rng.standard_exponential((n - m, w)))
+    taps = complex_normal(rng, m * taps_per_trial, 1.0).reshape(m, taps_per_trial)
+    normals = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+    ones = ((row[:width], row[width:], u) for row, u in zip(taps, normals))
+    trials = []
+    for bit in bits.tolist():
+        if bit:
+            tag, reflect, u = next(ones)
+            trials.append((1, float(_tap_energy(tag)), float(_tap_energy(reflect)),
+                           (tag, reflect, u)))
+        else:
+            trials.append((0, *next(zeros)))
+    return trials

@@ -11,10 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from backscatter import draw_channels, exact
+from backscatter import (ChannelMode, ThresholdKind, draw_channels, estimate_ber, exact,
+                         params_at_snr, sim, threshold_for)
 from backscatter.core import complex_normal
+from backscatter.detector import energy_scales
 from chainkit import (LONG_TAG, SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains,
-                      reader_spectrum)
+                      reader_spectrum, redraw_trials)
 
 GEOMETRIES = {"reference": {}, "short": SHORT, "w10": dict(window=10),
               "w16-orders-3-5": dict(window=16, tag_order=3, reflect_order=5),
@@ -45,10 +47,9 @@ def test_lag_form_covariances_match_the_probe(over):
     g = exact.noise_map(p)
     s0 = exact.sigma0(p)
     assert np.max(np.abs(s0 - 2 * p.noise_power * g @ g.conj().T / floor)) <= 1e-12
-    chans = [draw_channels(p, np.random.default_rng(seed)) for seed in (51, 52, 53)]
-    got = exact.sigma1(p, np.stack([ch.tag for ch in chans]),
-                       np.stack([ch.reflect for ch in chans]))
-    for ch, s1 in zip(chans, got):
+    for seed in (51, 52, 53):
+        ch = draw_channels(p, np.random.default_rng(seed))
+        s1 = exact.sigma1(p, ch.tag, ch.reflect)
         r = probe_bin_gains(p, ch)[:p.window]
         assert np.max(np.abs(exact.response(p, ch) - r)) <= 1e-12 * np.max(np.abs(r))
         want = s0 + p.source_power * r @ r.conj().T / floor
@@ -121,27 +122,39 @@ def test_signal_form_over_several_row_chunks_is_the_one_row_calls():
 
 
 def test_sigma1_of_no_realization_is_empty():
-    # a redraw block whose bits are all 0 builds no bit-1 covariance
-    p = make_params()
+    # a redraw block whose bits are all 0 takes no bit-1 form: the bit-1 form and Sigma_0's
+    # form of no row are empty, and the block's errors are its replay's bit-0 false alarms,
+    # E . lambda_0 over the threshold of the trial's two gamma energies
+    p = make_params(**SHORT, trials=8)
+    u = np.zeros((0, p.window), dtype=complex)
     tag = np.zeros((0, p.tag_order + 1), dtype=complex)
     reflect = np.zeros((0, p.reflect_order + 1), dtype=complex)
-    assert exact.sigma1(p, tag, reflect).shape == (0, p.window, p.window)
+    assert exact.signal_form(p, tag, reflect, u).shape == (0,)
+    assert exact._sigma0_form(p, u).shape == (0,)
+    kind, point = ThresholdKind.EQUIPROBABLE, np.random.SeedSequence(1476)
+    q = params_at_snr(p, 0.0)
+    trials = redraw_trials(q, point, 0, q.trials)
+    assert [bit for bit, *_ in trials] == [0] * q.trials
+    lam0 = exact.sigma0_eigenvalues(q) / q.window
+    errors = 0
+    for _, tag_energy, reflect_energy, e in trials:
+        scales = energy_scales(q, tag_energy, reflect_energy)
+        errors += np.dot(e, lam0) > threshold_for(kind, scales, q.window) / scales.noise_floor
+    assert errors > 0
+    rec = estimate_ber(p, kind, ChannelMode.REDRAW_PER_TRIAL, 0.0, point)
+    assert rec.empirical_ber == errors / q.trials
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
 def test_stacked_sigma1_rows_are_the_one_row_calls(over, windows, m):
-    # a fixed sweep stacks its window's cells, each row at its own source power: every
-    # row and its eigenvalues are those of the one-row call at that power, bit for bit
+    # a fixed sweep builds each of its window's Sigma_1 alone, at its cell's source power,
+    # and takes their eigenvalues in one stacked eigvalsh: every row of the stack is the
+    # eigenvalues of its cell's Sigma_1 over window, bit for bit
     for w in windows:
         p = make_params(**{**over, "window": w})
-        chans = [draw_channels(p, np.random.default_rng(60 + j)) for j in range(m)]
         powers = p.noise_power * 10.0 ** (np.arange(m) * 0.7 + 0.5)
-        got = exact.sigma1(p, np.stack([ch.tag for ch in chans]),
-                           np.stack([ch.reflect for ch in chans]), source_power=powers)
-        lam = np.linalg.eigvalsh(got)
-        for ch, power, row, row_lam in zip(chans, powers, got, lam):
-            one = exact.sigma1(replace(p, source_power=float(power)), ch.tag[None],
-                               ch.reflect[None])
-            assert np.array_equal(row, one[0])
-            assert np.array_equal(row_lam, np.linalg.eigvalsh(one)[0])
+        cells = [(replace(p, source_power=float(power)), np.random.SeedSequence(60 + j))
+                 for j, power in enumerate(powers)]
+        for (q, _), (ch, lam) in zip(cells, sim._fixed_realizations(cells)):
+            assert np.array_equal(lam, np.linalg.eigvalsh(exact.sigma1(q, ch.tag, ch.reflect)) / w)

@@ -22,7 +22,8 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
 from backscatter.core import complex_normal
 from backscatter.detector import _tap_energy, energy_scales
 from backscatter.exact import sigma0_eigenvalues, sigma1, signal_form
-from chainkit import SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains, reader_spectrum
+from chainkit import (SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains,
+                      reader_spectrum, redraw_trials)
 
 small_params = partial(make_params, **SHORT)
 FIXED = ChannelMode.FIXED_REALIZATION
@@ -333,41 +334,11 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
         assert [first for first, _ in ranges] + [blocks] == [0] + [last for _, last in ranges]
 
 
-def redraw_trials(q, point, block, n):
-    """Block ``block`` of ``n`` trials of a redraw point, replayed trial by trial in the
-    documented layout: the block's SFC64 generator on substream(point, 1, block) draws its
-    bits, then its bit-0 trials' tag energies and reflect energies (standard gammas of
-    shape tag_order + 1 and reflect_order + 1) and their window standard exponentials E,
-    then its bit-1 trials' tag then reflect taps and their window normals u of power
-    1 / window. Per trial, in trial order: ``(bit, tag_energy, reflect_energy, x)``, with
-    ``x`` its E for bit 0 and its ``(tag, reflect, u)`` for bit 1.
-    """
-    w, width, taps_per_trial = q.window, q.tag_order + 1, q.tag_order + q.reflect_order + 2
-    rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
-    bits = rng.integers(0, 2, n)
-    m = int(bits.sum())
-    zeros = zip(rng.standard_gamma(width, n - m).tolist(),
-                rng.standard_gamma(q.reflect_order + 1, n - m).tolist(),
-                rng.standard_exponential((n - m, w)))
-    taps = complex_normal(rng, m * taps_per_trial, 1.0).reshape(m, taps_per_trial)
-    normals = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
-    ones = ((row[:width], row[width:], u) for row, u in zip(taps, normals))
-    trials = []
-    for bit in bits.tolist():
-        if bit:
-            tag, reflect, u = next(ones)
-            trials.append((1, float(_tap_energy(tag)), float(_tap_energy(reflect)),
-                           (tag, reflect, u)))
-        else:
-            trials.append((0, *next(zeros)))
-    return trials
-
-
 def fixed_law(q, kind, point):
     """The fixed kernel's law at a point: threshold and both eigenvalue sets, over the floor."""
     ch = draw_channels(q, generator(substream(point, 0)))
     scales = compute_scales(q, ch)
-    lam1 = np.linalg.eigvalsh(sigma1(q, ch.tag[None], ch.reflect[None])[0])
+    lam1 = np.linalg.eigvalsh(sigma1(q, ch.tag, ch.reflect))
     return (threshold_for(kind, scales, q.window) / scales.noise_floor,
             sigma0_eigenvalues(q) / q.window, lam1 / q.window)
 
@@ -410,7 +381,7 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
             th = threshold_for(kind, scales, w) / scales.noise_floor
             if bit:
                 tag, reflect, u = x
-                cov = sigma1(q, tag[None], reflect[None])[0]
+                cov = sigma1(q, tag, reflect)
                 errors += np.vdot(u, cov @ u).real <= th
                 other_errors += np.sum(np.abs(np.linalg.cholesky(cov) @ u) ** 2) <= th
             else:
@@ -602,7 +573,7 @@ def test_fixed_sigma1_past_the_largest_double_decides_one():
     q = params_at_snr(small_params(trials=b + 7, noise_power=1e-6, tag_gain=5e152), 10.0)
     point = np.random.SeedSequence(64)
     ch = draw_channels(q, generator(substream(point, 0)))
-    assert not np.isfinite(sigma1(q, ch.tag[None], ch.reflect[None])).all()
+    assert not np.isfinite(sigma1(q, ch.tag, ch.reflect)).all()
     rec = estimate_ber(q, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 10.0, point)
     assert rec.empirical_ber == 0
 
@@ -644,9 +615,9 @@ def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch):
 
 @pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
 def test_fixed_sweep_equals_the_one_cell_path(over, windows):
-    # a fixed sweep sets each window up once, with one stacked Sigma_1 and eigvalsh over
-    # its cells: each cell's realization and eigenvalues are what estimate_ber sets up
-    # for the cell alone, bit for bit, and so is each record, for both threshold kinds
+    # a fixed sweep builds each cell's Sigma_1 alone and takes its window's eigenvalues in
+    # one stacked eigvalsh: each cell's realization and eigenvalues are what estimate_ber
+    # sets up for the cell alone, bit for bit, and so is each record, for both threshold kinds
     snrs, kinds = [6.0, 14.0, 22.0], list(ThresholdKind)
     stream = np.random.SeedSequence(71)
     at = {w: make_params(**{**over, "window": w, "trials": 300}) for w in windows}
@@ -681,7 +652,7 @@ def test_window_of_finite_and_overflowing_sigma1_rows(monkeypatch):
     cells = [(params_at_snr(p, snr), substream(stream, idx), snr, kind)
              for idx, (snr, kind) in enumerate(product(snrs, kinds))]
     laws = sim._fixed_realizations([(q, point) for q, point, _, _ in cells])
-    overflows = [not np.isfinite(sigma1(q, ch.tag[None], ch.reflect[None])).all()
+    overflows = [not np.isfinite(sigma1(q, ch.tag, ch.reflect)).all()
                  for (q, *_), (ch, _) in zip(cells, laws)]
     assert overflows == [False, False, False, True, True, False]
     for overflow, (_, lam) in zip(overflows, laws):
@@ -692,8 +663,8 @@ def test_window_of_finite_and_overflowing_sigma1_rows(monkeypatch):
 
 
 def test_fixed_sweep_sets_each_window_up_once(monkeypatch):
-    # counted as sim calls them: one stacked sigma1 and one eigvalsh per window, one
-    # estimate_ber per cell; a redraw sweep builds no Sigma_1
+    # counted as sim calls them: one sigma1 per fixed cell, one stacked eigvalsh per
+    # window, one estimate_ber per cell; a redraw sweep builds no Sigma_1
     calls = Counter()
 
     def counting(name, fn):
@@ -710,7 +681,7 @@ def test_fixed_sweep_sets_each_window_up_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(sim, "estimate_ber", counting("estimate_ber", sim.estimate_ber))
     sweep(p, *args, FIXED, np.random.SeedSequence(3))
-    assert calls == {"sigma1": 3, "eigvalsh": 3, "estimate_ber": 18}
+    assert calls == {"sigma1": 18, "eigvalsh": 3, "estimate_ber": 18}
     calls.clear()
     sweep(p, *args, ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(3))
     assert calls == {"estimate_ber": 18}
