@@ -27,7 +27,8 @@ the Hermitian ``C[p, q] = 1 / (1 - w^(p - q))``, 0 on the diagonal, ``M_d =
 diag(Omega[d]) C - C diag(Omega[d]) + (block_len - d) diag(Omega[d])``, and 0 for
 ``d >= block_len``, as the gate's samples lie less than ``block_len`` apart. So
 :func:`signal_form` gives a redrawn bit-1 trial's ``Re(u^H (Sigma_1 - Sigma_0) u)``
-from the tag's lag spectra, ``window`` numbers each, without forming ``Sigma_1``.
+from the tag's lag spectra, ``window`` numbers each, which it reads off the tag's
+periodogram, without forming ``Sigma_1``.
 """
 from __future__ import annotations
 
@@ -41,17 +42,24 @@ from .detector import energy_scales
 
 
 # OpenBLAS (0.3.31) runs an (m, k) @ (k, n) complex product on a second thread once
-# m * n * k reaches this.
+# m * n * k reaches this, and a real float64 one once m * n * k exceeds 1e6. Measured
+# one shape per fresh process, a second after import so that no thread still spun from
+# numpy's own start-up: (428, 9) @ (9, 17) complex (m n k = 65484) ran on one thread and
+# (430, 9) @ (9, 17) (65790) put 16.9 us per call on a second; real (1633, 18) @ (18, 34)
+# (999396), (14705, 17) @ (17, 4) (999940) and (100, 100) @ (100, 100) (1e6) ran on one,
+# and (1634, 18) @ (18, 34) and (14706, 17) @ (17, 4) (1000008 each) put 40 and 150 us
+# per call on a second.
 _BLAS_THREADED_MNK = 65536
+_BLAS_THREADED_MNK_REAL = 1_000_000
 
 
-def _row_chunks(rows: int, n: int) -> list[slice]:
-    """``rows`` rows in near-equal chunks of at most ``(_BLAS_THREADED_MNK - 1) // n^2``
-    rows, so that no ``(chunk, n) @ (n, n)`` product reaches OpenBLAS's threading size;
-    a chunk has one row only if there is one row, or if ``n^2`` is over a third of that
-    size.
+def _row_chunks(rows: int, n: int, k: int, limit: int = _BLAS_THREADED_MNK) -> list[slice]:
+    """``rows`` rows in near-equal chunks of at most ``(limit - 1) // (n k)`` rows, so that
+    no ``(chunk, n) @ (n, k)`` or ``(chunk, k) @ (k, n)`` product reaches ``limit``, by
+    default OpenBLAS's complex threading size; a chunk has one row only if there is one
+    row, or if ``n k`` is over a third of ``limit``.
     """
-    chunks = max(1, -(-rows // max(1, (_BLAS_THREADED_MNK - 1) // n ** 2)))
+    chunks = max(1, -(-rows // max(1, (limit - 1) // (n * k))))
     return [slice(i * rows // chunks, (i + 1) * rows // chunks) for i in range(chunks)]
 
 
@@ -103,12 +111,11 @@ def _sigma0_form(params: SystemParams, u: np.ndarray) -> np.ndarray:
     """``Re(u^H Sigma_0 u)`` for ``(m, window)`` rows ``u``, from the rank-``reflect_order``
     form of :func:`sigma0`: ``(block_len |u|^2 + |F_L^H u|^2) / (block_len + reflect_order)``,
     ``F_L`` the folded samples' DFT columns, so one ``(m, window) @ (window, reflect_order)``
-    product and no ``window x window`` one.
+    product and no ``window x window`` one. Both squared norms are row dots of float views.
     """
     f = _dft_rows(params.block_len, params.window)[:, :params.reflect_order]
-    y = u @ f.conj()
-    energy = np.add.reduce(u.real ** 2 + u.imag ** 2, axis=1)
-    folded = np.add.reduce(y.real ** 2 + y.imag ** 2, axis=1)
+    x, y = u.view(np.float64), (u @ f.conj()).view(np.float64)
+    energy, folded = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
     return (params.block_len * energy + folded) / (params.block_len + params.reflect_order)
 
 
@@ -137,6 +144,33 @@ def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray
     for table in (omega, omega_n, c):
         table.setflags(write=False)
     return omega, omega_n, c
+
+
+@lru_cache(maxsize=8)
+def _periodogram_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray, ...]:
+    """Read-only real ``(G, M)`` that take a tag's lag spectra from its periodogram.
+
+    With ``k = tag_order + 1`` and ``N = 2k - 1``, ``G`` maps a tag's float view (real
+    and imaginary parts interleaved) to ``[Re T | Im T]``, ``T`` its zero-padded ``N``-point
+    DFT. ``P = |T|^2`` is the DFT of the two-sided autocorrelation, whose ``N`` lags do
+    not alias, so ``rho(d) = sum_q P_q exp(2 pi i q d / N) / N``. ``M`` folds that inverse
+    DFT into :func:`_lag_tables`' ``Omega_n`` and ``Omega``: ``P M`` interleaves ``2 Re(h_n,p)``
+    and ``-4 Im(h_p)`` over ``p``. It is stacked twice, ``2N x 2 window``, so that
+    ``[Re T | Im T]^2 M`` adds the two squares in the product.
+    """
+    k = tag_order + 1
+    n = 2 * k - 1
+    omega, omega_n, _ = _lag_tables(block_len, window, tag_order)
+    f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(n)) / n)
+    g = np.empty((2 * k, 2 * n))
+    g[0::2], g[1::2] = np.hstack([f.real, f.imag]), np.hstack([-f.imag, f.real])
+    inverse = f.conj().T / n
+    m = np.empty((n, 2 * window))
+    m[:, 0::2], m[:, 1::2] = 2 * (inverse @ omega_n).real, -4 * (inverse @ omega).imag
+    m = np.vstack([m, m])
+    for table in (g, m):
+        table.setflags(write=False)
+    return g, m
 
 
 def _amp(params: SystemParams) -> float:
@@ -171,27 +205,33 @@ def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
     """``Re(u^H (Sigma_1 - Sigma_0) u)`` for ``(m, k)`` tag and ``(m, reflect_order + 1)``
     reflect taps and ``(m, window)`` normals.
 
-    The autocorrelation ``rho`` of each row is one row-wise sum per lag, which costs
-    less over a block than one ``np.correlate`` per row. With the lag spectra ``h``,
-    ``h_n`` and ``H_r`` of :func:`sigma1`, ``b = conj(H_r) u`` and ``z = C b``, taken in
-    row chunks (:func:`_row_chunks`), it is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 - 4
-    Im(h_p) Im(conj(b_p) z_p)]``, ``O(window^2 + k window)`` work per trial; as ``amp``
-    multiplies the sum last, the form overflows only to ``+inf``.
+    It is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 - 4 Im(h_p) Im(conj(b_p) z_p)]``, with the
+    lag spectra ``h``, ``h_n`` and ``H_r`` of :func:`sigma1`, ``b = conj(H_r) u`` and ``z =
+    C b``. The lag spectra come from the tag's periodogram in two real products,
+    ``[Re T | Im T] = tag G`` and then ``[Re T | Im T]^2 M`` (:func:`_periodogram_tables`),
+    ``O(k^2 + k window)`` work per trial in place of a sum per lag; ``C b`` is
+    ``O(window^2)``. Each product is taken in row chunks (:func:`_row_chunks`) below its
+    threading size. ``z`` is overwritten with ``conj(b) z`` and its real parts with
+    ``|b|^2``, so the sum is one row-wise dot of two ``(m, 2 window)`` real arrays; as
+    ``amp`` multiplies it last, the form overflows only to ``+inf``.
     """
-    k = tag.shape[1]
-    omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
-    # rho[:, d] = sum_j tag[:, j + d] conj(tag[:, j]) for d = 0 .. k - 1
-    conj, rho = tag.conj(), np.empty_like(tag)
-    for d in range(k):
-        np.einsum("mj,mj->m", tag[:, d:], conj[:, :k - d], out=rho[:, d])
-    h, h_n = rho @ omega, rho @ omega_n
+    (m, w), k = u.shape, tag.shape[1]
+    g, table = _periodogram_tables(params.block_len, params.window, k - 1)
+    _, _, c = _lag_tables(params.block_len, params.window, k - 1)
+    parts, hh = tag.view(np.float64), np.empty((m, 2 * w))
+    for rows in _row_chunks(m, g.shape[1], max(g.shape[0], table.shape[1]),
+                            _BLAS_THREADED_MNK_REAL):
+        spectrum = parts[rows] @ g
+        spectrum *= spectrum
+        np.matmul(spectrum, table, out=hh[rows])
     h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[1]].T
-    amp = _amp(params)
     b = h_r.conj() * u
     z = np.empty_like(b)
-    for rows in _row_chunks(*b.shape):
+    for rows in _row_chunks(m, w, w):
         np.matmul(b[rows], c.T, out=z[rows])
-    form = (2 * h_n.real * (b.real ** 2 + b.imag ** 2)
-            - 4 * h.imag * (b.real * z.imag - b.imag * z.real)).sum(axis=1)
+    np.multiply(z, b.conj(), out=z)
+    np.add(b.real ** 2, b.imag ** 2, out=z.real)
+    form = np.einsum("ij,ij->i", hh, z.view(np.float64))
+    amp = _amp(params)
     with np.errstate(over="ignore", invalid="ignore"):
         return amp * (amp * form)

@@ -42,8 +42,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_normal,
-                   derive_params, draw_channels, generator, params_to_map, substream)
+from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, derive_params,
+                   draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
 from .exact import (_BLAS_THREADED_MNK, _sigma0_form, sigma0_eigenvalues, sigma1,
@@ -141,14 +141,17 @@ def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
     """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel.
 
     A fixed trial keeps ``window`` exponentials, its bit and its statistic, 8 bytes
-    each. A redraw trial is counted as a bit-1 trial, in 16-byte complex words: its
-    ``k + reflect_order + 1`` taps (``k = tag_order + 1``), the conjugated tag and its
-    autocorrelation (``k`` each), ``u``, ``b`` and ``z`` (``window`` each), ``y = F_L^H
-    u`` (``reflect_order``) and its three spectra (``window`` each). A redraw block also
-    holds fewer than ``_BLAS_THREADED_MNK / (window * max(k, reflect_order + 1))``
-    trials: each of its complex products has at most one row per trial and ``C b`` is
-    taken in row chunks (:func:`backscatter.exact._row_chunks`), so none reaches the
-    ``m n k`` at which OpenBLAS starts a second thread.
+    each. A redraw trial is counted as a bit-1 trial, in 16-byte complex words, by the
+    budget that fixed the seventh stream layout: ``3k + 2 reflect_order + 1 + 6 window``
+    words (``k = tag_order + 1``). The kernel's arrays fit in it: the one normal fill of
+    its ``k + reflect_order + 1`` taps and ``window`` entries of ``u``, the tag's
+    ``(2k - 1)``-point DFT, ``H_r``, ``b``, ``z`` and the lag spectra (``window`` each)
+    and ``y = F_L^H u`` (``reflect_order``) take ``3k + 2 reflect_order + 5 window``. A
+    redraw block also holds fewer than ``_BLAS_THREADED_MNK / (window * max(k,
+    reflect_order + 1))`` trials: each of its complex products has at most one row per
+    trial, and ``C b`` and the periodogram's two real products are taken in row chunks
+    (:func:`backscatter.exact._row_chunks`), so none reaches the ``m n k`` at which
+    OpenBLAS starts a second thread.
     """
     w, k, r = params.window, params.tag_order + 1, params.reflect_order
     if mode is ChannelMode.FIXED_REALIZATION:
@@ -188,8 +191,13 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
             energy[1, zeros] = rng.standard_gamma(r + 1, n - m)
             stat = np.empty(n)
             stat[zeros] = rng.standard_exponential((n - m, w)) @ lam0
-            taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
-            u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+            # one fill holds the draws of the taps and then of u, scaled as complex_normal does
+            normals = np.empty(m * (width + r + 1 + w), dtype=np.complex128)
+            parts, split = normals.view(np.float64), m * (width + r + 1)
+            rng.standard_normal(out=parts)
+            parts[:2 * split] *= math.sqrt(1.0 / 2.0)
+            parts[2 * split:] *= math.sqrt(1.0 / w / 2.0)
+            taps, u = normals[:split].reshape(m, width + r + 1), normals[split:].reshape(m, w)
             tag, reflect = taps[:, :width], taps[:, width:]
             energy[0, bits], energy[1, bits] = _tap_energy(tag), _tap_energy(reflect)
             threshold = _thresholds(params, kind, energy[0], energy[1])

@@ -89,7 +89,14 @@ def test_closed_form_lag_maps_are_the_shifted_dft_products(over, window):
         assert np.max(np.abs(weights - (n - d) * omega[d])) <= 1e-12 * (n - d)
 
 
-@pytest.mark.parametrize("over", list(GEOMETRIES.values()), ids=list(GEOMETRIES))
+# The signal form's edge geometries: a one-point fine grid for the tag's periodogram
+# (tag_order 0), no folded samples, and the narrowest and widest windows.
+EDGES = {"tag-0": dict(tag_order=0), "reflect-0": dict(reflect_order=0), "w1": dict(window=1),
+         "w-block_len": dict(window=make_params().block_len)}
+
+
+@pytest.mark.parametrize("over", [*GEOMETRIES.values(), *EDGES.values()],
+                         ids=[*GEOMETRIES, *EDGES])
 def test_signal_form_is_the_probed_bit1_excess(over):
     # the kernel's bit-1 addend is Re(u^H (Sigma_1 - Sigma_0) u), with no Sigma_1 formed
     p = make_params(**over)
@@ -110,8 +117,27 @@ def test_signal_form_over_several_row_chunks_is_the_one_row_calls():
     # row's form is the one it gets alone
     p = make_params(window=32)
     m, width = 200, p.tag_order + 1
-    assert len(exact._row_chunks(m, p.window)) > 1
+    assert len(exact._row_chunks(m, p.window, p.window)) > 1
     rng = np.random.default_rng(56)
+    taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
+    u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
+    tag, reflect = taps[:, :width], taps[:, width:]
+    got = exact.signal_form(p, tag, reflect, u)
+    want = [exact.signal_form(p, t[None], r[None], x[None])[0]
+            for t, r, x in zip(tag, reflect, u)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_signal_form_over_several_periodogram_chunks_is_the_one_row_calls():
+    # at the reference W=8 a chunk of the periodogram's real products holds at most 1633
+    # rows, so 2000 bit-1 trials take two; each row's form is the one it gets alone
+    p = make_params()
+    m, width = 2000, p.tag_order + 1
+    g, table = exact._periodogram_tables(p.block_len, p.window, p.tag_order)
+    chunks = exact._row_chunks(m, g.shape[1], max(g.shape[0], table.shape[1]),
+                               exact._BLAS_THREADED_MNK_REAL)
+    assert len(chunks) > 1
+    rng = np.random.default_rng(57)
     taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
     u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
     tag, reflect = taps[:, :width], taps[:, width:]

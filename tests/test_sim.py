@@ -413,21 +413,27 @@ def test_blocks_are_computed_alone(mode, window):
 
 @pytest.mark.parametrize("over", [{}, SHORT], ids=["reference", "short"])
 def test_redraw_block_products_stay_below_the_threading_size(over):
-    # every complex product of a redraw block, for any count m of its bit-1 trials, stays
-    # below the m n k at which OpenBLAS starts a second thread: the spectra and Sigma_0
-    # form, one row per trial against at most max(k, reflect_order + 1) columns, and
-    # C b, whose row chunks are near-equal and of one row only when m is 1
+    # every product of a redraw block, for any count m of its bit-1 trials, stays below
+    # the m n k at which OpenBLAS starts a second thread: the complex H_r and Sigma_0
+    # form, one row per trial against at most max(k, reflect_order + 1) columns; C b,
+    # complex, and the tag's periodogram products tag G and |T|^2 M, real, each in row
+    # chunks that are near-equal and of one row only when m is 1
     for w in range(1, min(64, make_params(**over).block_len) + 1):
         p = make_params(**{**over, "window": w})
         b = sim._block_trials(p, ChannelMode.REDRAW_PER_TRIAL)
         assert b * w * max(p.tag_order + 1, p.reflect_order + 1) < exact._BLAS_THREADED_MNK
+        g, table = exact._periodogram_tables(p.block_len, w, p.tag_order)
+        n, k = g.shape[1], max(g.shape[0], table.shape[1])
         for m in range(b + 1):
-            chunks = exact._row_chunks(m, w)
-            sizes = [rows.stop - rows.start for rows in chunks]
-            assert [rows.start for rows in chunks[1:]] == [rows.stop for rows in chunks[:-1]]
-            assert chunks[0].start == 0 and chunks[-1].stop == m
-            assert max(sizes) * w * w < exact._BLAS_THREADED_MNK
-            assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2 or m <= 1)
+            for chunks, limit, shapes in (
+                    (exact._row_chunks(m, w, w), exact._BLAS_THREADED_MNK, [(w, w)]),
+                    (exact._row_chunks(m, n, k, exact._BLAS_THREADED_MNK_REAL),
+                     exact._BLAS_THREADED_MNK_REAL, [g.shape, table.shape])):
+                sizes = [rows.stop - rows.start for rows in chunks]
+                assert [rows.start for rows in chunks[1:]] == [rows.stop for rows in chunks[:-1]]
+                assert chunks[0].start == 0 and chunks[-1].stop == m
+                assert all(max(sizes) * inner * cols < limit for inner, cols in shapes)
+                assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2 or m <= 1)
 
 
 @pytest.mark.parametrize("window", [2, 8, 16])
