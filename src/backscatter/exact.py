@@ -41,32 +41,12 @@ from .core import ChannelSet, SystemParams
 from .detector import energy_scales
 
 
-# OpenBLAS (0.3.31) runs an (m, k) @ (k, n) complex product on a second thread once
-# m * n * k reaches this, and a real float64 one once m * n * k exceeds 1e6. Measured
-# one shape per fresh process, a second after import so that no thread still spun from
-# numpy's own start-up: (428, 9) @ (9, 17) complex (m n k = 65484) ran on one thread and
-# (430, 9) @ (9, 17) (65790) put 16.9 us per call on a second; real (1633, 18) @ (18, 34)
-# (999396), (14705, 17) @ (17, 4) (999940) and (100, 100) @ (100, 100) (1e6) ran on one,
-# and (1634, 18) @ (18, 34) and (14706, 17) @ (17, 4) (1000008 each) put 40 and 150 us
-# per call on a second.
-_BLAS_THREADED_MNK = 65536
-_BLAS_THREADED_MNK_REAL = 1_000_000
-
-
-def _row_chunks(rows: int, n: int, k: int, limit: int = _BLAS_THREADED_MNK) -> list[slice]:
-    """``rows`` rows in near-equal chunks of at most ``(limit - 1) // (n k)`` rows, so that
-    no ``(chunk, n) @ (n, k)`` or ``(chunk, k) @ (k, n)`` product reaches ``limit``, by
-    default OpenBLAS's complex threading size; a chunk has one row only if there is one
-    row, or if ``n k`` is over a third of ``limit``.
-    """
-    chunks = max(1, -(-rows // max(1, (limit - 1) // (n * k))))
-    return [slice(i * rows // chunks, (i + 1) * rows // chunks) for i in range(chunks)]
-
-
 @lru_cache(maxsize=8)
-def _dft_rows(block_len: int, window: int) -> np.ndarray:
-    """``F_W``, read-only: the first ``window`` rows of the ``block_len``-point DFT."""
-    f = np.exp(-2j * np.pi * np.outer(np.arange(window), np.arange(block_len)) / block_len)
+def _dft_rows(block_len: int, window: int, columns: int = 0) -> np.ndarray:
+    """``F_W``, read-only: the first ``window`` rows of the ``block_len``-point DFT, over
+    ``columns`` samples if given; ``reflect_order = block_len``'s last reflect tap wraps."""
+    j = np.arange(columns or block_len)
+    f = np.exp(-2j * np.pi * np.outer(np.arange(window), j) / block_len)
     f.setflags(write=False)
     return f
 
@@ -86,9 +66,8 @@ def response(params: SystemParams, channels: ChannelSet) -> np.ndarray:
     lag = q + np.arange(n)[:, None] - np.arange(params.cp_len)[None, :]
     inside = (lag >= 0) & (lag < len(channels.tag))
     t_tag = np.where(inside, channels.tag[np.clip(lag, 0, len(channels.tag) - 1)], 0)
-    f = _dft_rows(n, params.window)
-    h_r = f[:, :len(channels.reflect)] @ channels.reflect
-    return params.tag_gain * (h_r[:, None] * (f @ t_tag))
+    h_r = _dft_rows(n, params.window, len(channels.reflect)) @ channels.reflect
+    return params.tag_gain * (h_r[:, None] * (_dft_rows(n, params.window) @ t_tag))
 
 
 def sigma0(params: SystemParams) -> np.ndarray:
@@ -98,8 +77,7 @@ def sigma0(params: SystemParams) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sigma0(block_len: int, reflect_order: int, window: int) -> np.ndarray:
-    # F_W F_W^H is exactly block_len times the identity; only the folded
-    # samples' part is multiplied out, by einsum, which never runs on OpenBLAS's threads
+    # F_W F_W^H is exactly block_len I; only the folded samples' part is multiplied out
     f = _dft_rows(block_len, window)[:, :reflect_order]
     s = (block_len * np.eye(window) + np.einsum("pi,qi->pq", f, f.conj())) / (
         block_len + reflect_order)
@@ -193,7 +171,7 @@ def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.nda
     omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
     rho = np.correlate(tag, tag, "full")[k - 1:]    # rho[d] = sum_j tag[j + d] conj(tag[j])
     h, h_n = rho @ omega, rho @ omega_n
-    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :len(reflect)].T
+    h_r = reflect @ _dft_rows(params.block_len, params.window, len(reflect)).T
     amp = _amp(params)
     x = h_r[:, None] * ((h[:, None] - h) * c + np.diag(h_n)) * h_r.conj()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,25 +188,19 @@ def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
     C b``. The lag spectra come from the tag's periodogram in two real products,
     ``[Re T | Im T] = tag G`` and then ``[Re T | Im T]^2 M`` (:func:`_periodogram_tables`),
     ``O(k^2 + k window)`` work per trial in place of a sum per lag; ``C b`` is
-    ``O(window^2)``. Each product is taken in row chunks (:func:`_row_chunks`) below its
-    threading size. ``z`` is overwritten with ``conj(b) z`` and its real parts with
+    ``O(window^2)``. ``z`` is overwritten with ``conj(b) z`` and its real parts with
     ``|b|^2``, so the sum is one row-wise dot of two ``(m, 2 window)`` real arrays; as
     ``amp`` multiplies it last, the form overflows only to ``+inf``.
     """
-    (m, w), k = u.shape, tag.shape[1]
+    k = tag.shape[1]
     g, table = _periodogram_tables(params.block_len, params.window, k - 1)
     _, _, c = _lag_tables(params.block_len, params.window, k - 1)
-    parts, hh = tag.view(np.float64), np.empty((m, 2 * w))
-    for rows in _row_chunks(m, g.shape[1], max(g.shape[0], table.shape[1]),
-                            _BLAS_THREADED_MNK_REAL):
-        spectrum = parts[rows] @ g
-        spectrum *= spectrum
-        np.matmul(spectrum, table, out=hh[rows])
-    h_r = reflect @ _dft_rows(params.block_len, params.window)[:, :reflect.shape[1]].T
+    spectrum = tag.view(np.float64) @ g
+    spectrum *= spectrum
+    hh = spectrum @ table
+    h_r = reflect @ _dft_rows(params.block_len, params.window, reflect.shape[1]).T
     b = h_r.conj() * u
-    z = np.empty_like(b)
-    for rows in _row_chunks(m, w, w):
-        np.matmul(b[rows], c.T, out=z[rows])
+    z = b @ c.T
     np.multiply(z, b.conj(), out=z)
     np.add(b.real ** 2, b.imag ** 2, out=z.real)
     form = np.einsum("ij,ij->i", hh, z.view(np.float64))

@@ -33,12 +33,14 @@ error-count sum.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial, wraps
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +48,7 @@ from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, derive_pa
                    draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
-from .exact import (_BLAS_THREADED_MNK, _sigma0_form, sigma0_eigenvalues, sigma1,
-                    signal_form)
+from .exact import _sigma0_form, sigma0_eigenvalues, sigma1, signal_form
 from .reader import cancel_interference, dft, fold, energy_statistics
 from .waveform import gen_source_symbol, synth_reader_rx, tag_gate, tag_input
 
@@ -138,29 +139,51 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag_energy: np.ndarra
 
 
 def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
-    """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel.
-
-    A fixed trial keeps ``window`` exponentials, its bit and its statistic, 8 bytes
-    each. A redraw trial is counted as a bit-1 trial, in 16-byte complex words, by the
-    budget that fixed the seventh stream layout: ``3k + 2 reflect_order + 1 + 6 window``
-    words (``k = tag_order + 1``). The kernel's arrays fit in it: the one normal fill of
-    its ``k + reflect_order + 1`` taps and ``window`` entries of ``u``, the tag's
-    ``(2k - 1)``-point DFT, ``H_r``, ``b``, ``z`` and the lag spectra (``window`` each)
-    and ``y = F_L^H u`` (``reflect_order``) take ``3k + 2 reflect_order + 5 window``. A
-    redraw block also holds fewer than ``_BLAS_THREADED_MNK / (window * max(k,
-    reflect_order + 1))`` trials: each of its complex products has at most one row per
-    trial, and ``C b`` and the periodogram's two real products are taken in row chunks
-    (:func:`backscatter.exact._row_chunks`), so none reaches the ``m n k`` at which
-    OpenBLAS starts a second thread.
-    """
+    """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel, 8 for
+    each of a fixed trial's ``window`` exponentials, bit and statistic, and 16 for each of
+    a redraw trial's ``3k + 2 reflect_order + 1 + 6 window`` complex words (``k = tag_order
+    + 1``, counted as bit 1), which hold its taps and ``u`` (one normal fill), the tag's
+    ``(2k - 1)``-point DFT, ``H_r``, ``b``, ``z``, the lag spectra and ``F_L^H u``."""
     w, k, r = params.window, params.tag_order + 1, params.reflect_order
-    if mode is ChannelMode.FIXED_REALIZATION:
-        return max(1, BLOCK_BYTES // (8 * (w + 2)))
-    words = 3 * k + 2 * r + 1 + 6 * w
-    serial = (_BLAS_THREADED_MNK - 1) // (w * max(k, r + 1))
-    return max(1, min(BLOCK_BYTES // (16 * words), serial))
+    fixed = mode is ChannelMode.FIXED_REALIZATION
+    return max(1, BLOCK_BYTES // (8 * (w + 2) if fixed else 16 * (3 * k + 2 * r + 1 + 6 * w)))
 
 
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """numpy's bundled OpenBLAS's ``(get, set)`` thread counts, looked up once per process
+    in ``numpy.libs`` (``numpy/.dylibs`` on macOS); None for other builds."""
+    package = Path(np.__file__).parent
+    for path in [*package.parent.glob("numpy.libs/*openblas*"),
+                 *package.glob(".dylibs/*openblas*")]:
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):     # numpy 2, numpy 1 wheels
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            if get is not None:
+                return get, getattr(lib, f"{prefix}_set_num_threads64_")
+    return None
+
+
+def _one_blas_thread(fn):
+    """``fn`` with numpy's OpenBLAS on one thread, restored when ``fn`` returns or raises:
+    a block's products and a window's ``eigvalsh`` are too small to gain from a second
+    thread, which then spins. The count is process-wide. A count of 1 (a nested entry, a
+    forked pool worker) is left alone: setting it in a fork restarts OpenBLAS's threads."""
+    @wraps(fn)
+    def serial(*args, **kwargs):
+        threads = _openblas_threads()
+        previous = threads[0]() if threads else 1
+        if previous == 1:
+            return fn(*args, **kwargs)
+        threads[1](1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            threads[1](previous)
+    return serial
+
+
+@_one_blas_thread
 def _count_errors(params: SystemParams, kind: ThresholdKind,
                   law: tuple[float, np.ndarray, np.ndarray] | None,
                   point: np.random.SeedSequence, first: int, last: int) -> int:
@@ -237,6 +260,7 @@ def _fixed_realizations(cells: list[tuple[SystemParams, np.random.SeedSequence]]
     return list(zip(channels, lam1 / p.window))
 
 
+@_one_blas_thread
 def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
                  snr_db: float, stream: np.random.SeedSequence, *, workers: int = 1,
                  _realization: tuple[ChannelSet, np.ndarray] | None = None) -> BerRecord:
@@ -250,7 +274,8 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     threshold for every trial and the bit-1 form for every bit-1 trial, and
     reports no prediction. Scales without a lift (zero tag gain) raise
     :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
-    before the first trial.
+    before the first trial. While it runs, numpy's OpenBLAS runs any Python thread's
+    products on one thread (:func:`_one_blas_thread`).
     """
     p = params_at_snr(params, snr_db)
     law: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -279,6 +304,7 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
                      stderr=math.sqrt(ber * (1.0 - ber) / n), analytic_ber=analytic)
 
 
+@_one_blas_thread
 def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
           kinds: list[ThresholdKind], mode: ChannelMode,
           stream: np.random.SeedSequence, *, workers: int = 1) -> list[BerRecord]:
@@ -291,7 +317,8 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
     keyed by enumeration order, so a rerun with the same stream reproduces
     every record bit for bit. In fixed mode a window's cells get their
     realizations from one :func:`_fixed_realizations` call, which gives each
-    cell what :func:`estimate_ber` computes for it alone.
+    cell what :func:`estimate_ber` computes for it alone. While it runs, numpy's
+    OpenBLAS runs any Python thread's products on one thread (:func:`_one_blas_thread`).
     """
     for name, axis in (("snr_values", snr_values), ("w_values", w_values), ("kinds", kinds)):
         if not axis:

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backscatter import (ChannelMode, ThresholdKind, draw_channels, estimate_ber, exact,
                          params_at_snr, sim, threshold_for)
@@ -90,9 +92,12 @@ def test_closed_form_lag_maps_are_the_shifted_dft_products(over, window):
 
 
 # The signal form's edge geometries: a one-point fine grid for the tag's periodogram
-# (tag_order 0), no folded samples, and the narrowest and widest windows.
+# (tag_order 0), no folded samples, the narrowest and widest windows, and one reflect
+# tap more than block_len, whose last tap wraps onto the first bin's phase.
 EDGES = {"tag-0": dict(tag_order=0), "reflect-0": dict(reflect_order=0), "w1": dict(window=1),
-         "w-block_len": dict(window=make_params().block_len)}
+         "w-block_len": dict(window=make_params().block_len),
+         "reflect-block_len": dict(cp_len=12, eff_len=64, direct_order=0, tag_order=2,
+                                   reflect_order=4, window=4)}
 
 
 @pytest.mark.parametrize("over", [*GEOMETRIES.values(), *EDGES.values()],
@@ -113,11 +118,9 @@ def test_signal_form_is_the_probed_bit1_excess(over):
 
 
 def test_signal_form_over_several_row_chunks_is_the_one_row_calls():
-    # at W=32 a chunk of C b holds at most 63 rows, so 200 bit-1 trials take four; each
-    # row's form is the one it gets alone
+    # 200 bit-1 rows at W=32, one C b product: each row's form is the one it gets alone
     p = make_params(window=32)
     m, width = 200, p.tag_order + 1
-    assert len(exact._row_chunks(m, p.window, p.window)) > 1
     rng = np.random.default_rng(56)
     taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
     u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
@@ -129,14 +132,10 @@ def test_signal_form_over_several_row_chunks_is_the_one_row_calls():
 
 
 def test_signal_form_over_several_periodogram_chunks_is_the_one_row_calls():
-    # at the reference W=8 a chunk of the periodogram's real products holds at most 1633
-    # rows, so 2000 bit-1 trials take two; each row's form is the one it gets alone
+    # 2000 bit-1 rows at the reference W=8, one pair of the periodogram's real products:
+    # each row's form is the one it gets alone
     p = make_params()
     m, width = 2000, p.tag_order + 1
-    g, table = exact._periodogram_tables(p.block_len, p.window, p.tag_order)
-    chunks = exact._row_chunks(m, g.shape[1], max(g.shape[0], table.shape[1]),
-                               exact._BLAS_THREADED_MNK_REAL)
-    assert len(chunks) > 1
     rng = np.random.default_rng(57)
     taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
     u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
@@ -145,6 +144,57 @@ def test_signal_form_over_several_periodogram_chunks_is_the_one_row_calls():
     want = [exact.signal_form(p, t[None], r[None], x[None])[0]
             for t, r, x in zip(tag, reflect, u)]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def geometries(draw):
+    """A valid geometry with the three orders (0 allowed, ``tag_order`` past ``block_len``
+    allowed), ``cp_len`` at most 80, any window, gain and source power."""
+    block_len = draw(st.integers(1, 48))
+    reflect_order = draw(st.integers(0, min(block_len, 8)))
+    direct_order, tag_order = draw(st.integers(0, 8)), draw(st.integers(0, 24))
+    cp_len = block_len + max(direct_order, tag_order, reflect_order) + reflect_order
+    gain = draw(st.floats(0.05, 4.0)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return make_params(cp_len=cp_len, eff_len=cp_len + draw(st.integers(0, 64)),
+                       direct_order=direct_order, tag_order=tag_order,
+                       reflect_order=reflect_order, window=draw(st.integers(1, block_len)),
+                       tag_gain=complex(gain), source_power=10.0 ** draw(st.floats(-2.0, 3.0)))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(p=geometries(), rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_law_over_random_geometries(p, rows, seed):
+    # every form the kernel reads, on a drawn geometry against the probed chain: Sigma_1
+    # and each row's bit-1 excess from the probed bin responses, each row of signal_form
+    # against its one-row call, Sigma_0's form and eigenvalues, and the block sizes
+    rng = np.random.default_rng(seed)
+    floor = 2 * p.cancel_len * p.noise_power
+    chans = [draw_channels(p, rng) for _ in range(rows)]
+    u = complex_normal(rng, rows * p.window, 1.0 / p.window).reshape(rows, -1)
+    s0 = exact.sigma0(p)
+    excess = []
+    for ch, x in zip(chans, u):
+        gains = probe_bin_gains(p, ch)[:p.window]
+        want = s0 + p.source_power * gains @ gains.conj().T / floor
+        s1 = exact.sigma1(p, ch.tag, ch.reflect)
+        assert np.max(np.abs(s1 - want)) <= 1e-12 * np.max(np.abs(want))
+        excess.append(p.source_power * np.sum(np.abs(gains.conj().T @ x) ** 2) / floor)
+    tag, reflect = np.stack([ch.tag for ch in chans]), np.stack([ch.reflect for ch in chans])
+    got = exact.signal_form(p, tag, reflect, u)
+    assert np.max(np.abs(got - excess)) <= 1e-12 * np.max(excess)
+    alone = [exact.signal_form(p, t[None], r[None], x[None])[0]
+             for t, r, x in zip(tag, reflect, u)]
+    assert np.max(np.abs(got - alone)) <= 1e-12 * np.max(excess)
+    quad = np.einsum("mp,pq,mq->m", u.conj(), s0, u).real
+    assert np.max(np.abs(exact._sigma0_form(p, u) - quad)) <= 1e-12 * np.max(quad)
+    lam = exact.sigma0_eigenvalues(p)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(s0))) <= 1e-12 * lam[-1]
+    assert abs(lam.sum() - np.trace(s0).real) <= 1e-12 * p.window
+    w, k, r = p.window, p.tag_order + 1, p.reflect_order
+    for mode, per_trial in ((ChannelMode.FIXED_REALIZATION, 8 * (w + 2)),
+                            (ChannelMode.REDRAW_PER_TRIAL, 16 * (3 * k + 2 * r + 1 + 6 * w))):
+        b = sim._block_trials(p, mode)
+        assert b >= 1 and b * per_trial <= sim.BLOCK_BYTES
 
 
 def test_sigma1_of_no_realization_is_empty():

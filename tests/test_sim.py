@@ -7,6 +7,8 @@ Gamma-distributed with integer shape. Where the Gaussian model is a known
 idealization the tests document the gap instead of hiding it.
 """
 import math
+import os
+import time
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -17,7 +19,7 @@ import pytest
 
 from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfig, ThresholdKind,
                          compute_scales, detect, draw_channels, energy_statistics,
-                         estimate_ber, exact, generator, params_at_snr, run_trial, sim,
+                         estimate_ber, generator, params_at_snr, run_trial, sim,
                          substream, sweep, threshold_for)
 from backscatter.core import complex_normal
 from backscatter.detector import _tap_energy, energy_scales
@@ -411,29 +413,108 @@ def test_blocks_are_computed_alone(mode, window):
         assert estimate_ber(q, kind, mode, 14.0, point, workers=workers) == serial
 
 
+def blas_threads():
+    """The guard's ``(get, set)`` pair for numpy's bundled OpenBLAS; skips without one."""
+    threads = sim._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    return threads
+
+
 @pytest.mark.parametrize("over", [{}, SHORT], ids=["reference", "short"])
-def test_redraw_block_products_stay_below_the_threading_size(over):
-    # every product of a redraw block, for any count m of its bit-1 trials, stays below
-    # the m n k at which OpenBLAS starts a second thread: the complex H_r and Sigma_0
-    # form, one row per trial against at most max(k, reflect_order + 1) columns; C b,
-    # complex, and the tag's periodogram products tag G and |T|^2 M, real, each in row
-    # chunks that are near-equal and of one row only when m is 1
-    for w in range(1, min(64, make_params(**over).block_len) + 1):
-        p = make_params(**{**over, "window": w})
-        b = sim._block_trials(p, ChannelMode.REDRAW_PER_TRIAL)
-        assert b * w * max(p.tag_order + 1, p.reflect_order + 1) < exact._BLAS_THREADED_MNK
-        g, table = exact._periodogram_tables(p.block_len, w, p.tag_order)
-        n, k = g.shape[1], max(g.shape[0], table.shape[1])
-        for m in range(b + 1):
-            for chunks, limit, shapes in (
-                    (exact._row_chunks(m, w, w), exact._BLAS_THREADED_MNK, [(w, w)]),
-                    (exact._row_chunks(m, n, k, exact._BLAS_THREADED_MNK_REAL),
-                     exact._BLAS_THREADED_MNK_REAL, [g.shape, table.shape])):
-                sizes = [rows.stop - rows.start for rows in chunks]
-                assert [rows.start for rows in chunks[1:]] == [rows.stop for rows in chunks[:-1]]
-                assert chunks[0].start == 0 and chunks[-1].stop == m
-                assert all(max(sizes) * inner * cols < limit for inner, cols in shapes)
-                assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2 or m <= 1)
+def test_kernel_products_run_on_one_blas_thread(over, monkeypatch, tmp_path):
+    # at the geometry's widest window up to 64, where a fixed window's eigvalsh and a
+    # redraw block's C b are past the sizes at which OpenBLAS starts a second thread,
+    # every stream derivation, bit-1 form and eigvalsh of a three-block sweep reads one
+    # OpenBLAS thread, in the parent and in pool workers, and the sweep restores the count
+    get, _ = blas_threads()
+    log = tmp_path / "threads"
+
+    def reading(fn):
+        def read(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {fn.__name__} {get()}\n")
+            return fn(*args, **kwargs)
+        return read
+
+    for name in ("substream", "signal_form"):
+        monkeypatch.setattr(sim, name, reading(getattr(sim, name)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", reading(np.linalg.eigvalsh))
+    before = get()
+    w = min(64, make_params(**over).block_len)
+    for mode in ChannelMode:
+        b = sim._block_trials(make_params(**{**over, "window": w}), mode)
+        p = make_params(**{**over, "window": w, "trials": 2 * b + 1})
+        records = []
+        for workers in (1, 2):
+            log.write_text("")
+            records.append(sweep(p, [20.0], [w], [ThresholdKind.OPTIMAL], mode,
+                                 np.random.SeedSequence(43), workers=workers))
+            reads = [line.split() for line in log.read_text().splitlines()]
+            assert {count for *_, count in reads} == {"1"}
+            assert get() == before
+            form = "eigvalsh" if mode is FIXED else "signal_form"
+            assert {"substream", form} <= {name for _, name, _ in reads}
+            in_workers = {name for pid, name, _ in reads if int(pid) != os.getpid()}
+            assert ("substream" in in_workers) == (workers == 2)
+        assert records[0] == records[1]
+
+
+def test_blas_guard_restores_the_count():
+    # the guard runs its function on one thread and restores the previous count when it
+    # returns and when it raises; a nested entry leaves the outer entry's count alone
+    get, put = blas_threads()
+    previous = get()
+    put(previous + 1)
+    try:
+        inner = sim._one_blas_thread(get)
+        assert sim._one_blas_thread(lambda: (get(), inner(), get()))() == (1, 1, 1)
+        assert get() == previous + 1
+
+        @sim._one_blas_thread
+        def failing():
+            raise RuntimeError(f"threads {get()}")
+
+        with pytest.raises(RuntimeError, match="^threads 1$"):
+            failing()
+        assert get() == previous + 1
+    finally:
+        put(previous)
+
+
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_blas_guard_without_openblas_changes_nothing(mode, monkeypatch):
+    # with no OpenBLAS found the guard leaves the thread count alone, and a sweep gives
+    # the records it gives guarded
+    args = (make_params(trials=300), [14.0, 20.0], [2, 8], list(ThresholdKind), mode)
+    guarded = sweep(*args, np.random.SeedSequence(47))
+    threads = sim._openblas_threads()
+    monkeypatch.setattr(sim, "_openblas_threads", lambda: None)
+    counts = []
+    if threads is not None:
+        derive = sim.substream
+        monkeypatch.setattr(sim, "substream",
+                            lambda *a: counts.append(threads[0]()) or derive(*a))
+    assert sweep(*args, np.random.SeedSequence(47)) == guarded
+    assert threads is None or set(counts) == {threads[0]()}
+
+
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_wide_windows_use_no_second_blas_thread(mode):
+    # past the threading sizes, at W = 64, 148 and 240 on the reference geometry, a
+    # sweep's CPU time is its own thread's: the other threads' share, process_time less
+    # thread_time, stays near 0. Measured after a pause, once threads that earlier work
+    # left spinning have gone idle.
+    blas_threads()
+    p = make_params(trials=400 if mode is FIXED else 1000)
+    args = (p, [20.0], [64, 148, 240], [ThresholdKind.OPTIMAL], mode)
+    sweep(*args, np.random.SeedSequence(53))
+    time.sleep(0.3)
+    cpu, own = time.process_time(), time.thread_time()
+    sweep(*args, np.random.SeedSequence(54))
+    own = time.thread_time() - own
+    other = time.process_time() - cpu - own
+    assert other <= 0.05 * own + 0.002, (other, own)
 
 
 @pytest.mark.parametrize("window", [2, 8, 16])
