@@ -26,9 +26,12 @@ shift by d). With ``w = exp(-2 pi i / block_len)``, ``Omega[d, p] = w^(pd)`` and
 the Hermitian ``C[p, q] = 1 / (1 - w^(p - q))``, 0 on the diagonal, ``M_d =
 diag(Omega[d]) C - C diag(Omega[d]) + (block_len - d) diag(Omega[d])``, and 0 for
 ``d >= block_len``, as the gate's samples lie less than ``block_len`` apart. So
-:func:`signal_form` gives a redrawn bit-1 trial's ``Re(u^H (Sigma_1 - Sigma_0) u)``
-from the tag's lag spectra, ``window`` numbers each, which it reads off the tag's
-periodogram, without forming ``Sigma_1``.
+``Sigma_1 - Sigma_0`` needs only ``H_r`` and the tag's two lag spectra ``e_p = 2 Re
+h_n,p`` and ``a_p = -4 Im h_p``, with ``h = rho Omega``, ``h_n = rho Omega_n`` and
+``Omega_n[d] = (block_len - d) Omega[d]``, row 0 halved: ``window`` numbers each,
+which :func:`_spectra` reads off the tag's periodogram for both :func:`sigma1` and
+:func:`signal_form`. The latter gives a redrawn bit-1 trial's ``Re(u^H (Sigma_1 -
+Sigma_0) u)`` without forming ``Sigma_1``.
 """
 from __future__ import annotations
 
@@ -111,44 +114,50 @@ def _sigma0_eigenvalues(block_len: int, reflect_order: int, window: int) -> np.n
 
 @lru_cache(maxsize=8)
 def _lag_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray, ...]:
-    """Read-only ``(Omega, Omega_n, C)``; ``Omega_n[d] = (block_len - d) Omega[d]``,
-    row 0 halved, so that ``sum_d rho(d) M_d = K + K^H`` (:func:`sigma1`)."""
-    d = np.arange(tag_order + 1)[:, None]
-    omega = np.where(d < block_len, np.exp(-2j * np.pi * (d * np.arange(window)) / block_len), 0)
-    omega_n = np.where(d == 0, block_len / 2, block_len - d) * omega
-    lag = np.subtract.outer(np.arange(window), np.arange(window))
-    c = np.divide(1, 1 - np.exp(-2j * np.pi * lag / block_len),
-                  out=np.zeros((window, window), dtype=complex), where=lag != 0)
-    for table in (omega, omega_n, c):
-        table.setflags(write=False)
-    return omega, omega_n, c
-
-
-@lru_cache(maxsize=8)
-def _periodogram_tables(block_len: int, window: int, tag_order: int) -> tuple[np.ndarray, ...]:
-    """Read-only real ``(G, M)`` that take a tag's lag spectra from its periodogram.
+    """Read-only real ``(G, M)`` that take a tag's lag spectra from its periodogram, and ``C``.
 
     With ``k = tag_order + 1`` and ``N = 2k - 1``, ``G`` maps a tag's float view (real
     and imaginary parts interleaved) to ``[Re T | Im T]``, ``T`` its zero-padded ``N``-point
     DFT. ``P = |T|^2`` is the DFT of the two-sided autocorrelation, whose ``N`` lags do
     not alias, so ``rho(d) = sum_q P_q exp(2 pi i q d / N) / N``. ``M`` folds that inverse
-    DFT into :func:`_lag_tables`' ``Omega_n`` and ``Omega``: ``P M`` interleaves ``2 Re(h_n,p)``
-    and ``-4 Im(h_p)`` over ``p``. It is stacked twice, ``2N x 2 window``, so that
-    ``[Re T | Im T]^2 M`` adds the two squares in the product.
+    DFT into ``Omega`` and ``Omega_n[d] = (block_len - d) Omega[d]``, row 0 halved, so
+    that ``P M`` interleaves ``e_p = 2 Re(h_n,p)`` and ``a_p = -4 Im(h_p)`` over ``p``, with
+    ``h = rho Omega`` and ``h_n = rho Omega_n``. It is stacked twice, ``2N x 2 window``, so
+    that ``[Re T | Im T]^2 M`` adds the two squares in the product.
     """
     k = tag_order + 1
     n = 2 * k - 1
-    omega, omega_n, _ = _lag_tables(block_len, window, tag_order)
+    d = np.arange(k)[:, None]
+    omega = np.where(d < block_len, np.exp(-2j * np.pi * (d * np.arange(window)) / block_len), 0)
+    omega_n = np.where(d == 0, block_len / 2, block_len - d) * omega
     f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(n)) / n)
     g = np.empty((2 * k, 2 * n))
     g[0::2], g[1::2] = np.hstack([f.real, f.imag]), np.hstack([-f.imag, f.real])
     inverse = f.conj().T / n
     m = np.empty((n, 2 * window))
     m[:, 0::2], m[:, 1::2] = 2 * (inverse @ omega_n).real, -4 * (inverse @ omega).imag
-    m = np.vstack([m, m])
-    for table in (g, m):
+    lag = np.subtract.outer(np.arange(window), np.arange(window))
+    c = np.divide(1, 1 - np.exp(-2j * np.pi * lag / block_len),
+                  out=np.zeros((window, window), dtype=complex), where=lag != 0)
+    tables = g, np.vstack([m, m]), c
+    for table in tables:
         table.setflags(write=False)
-    return g, m
+    return tables
+
+
+def _spectra(params: SystemParams, tag: np.ndarray, reflect: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tag's lag spectra, ``H_r`` and ``C`` for one realization's taps or ``(m, k)`` and
+    ``(m, reflect_order + 1)`` stacks of them; the tags contiguous and complex.
+
+    The spectra, ``e`` and ``a`` of :func:`_lag_tables` interleaved on the last axis, are
+    two real products, ``[Re T | Im T] = tag G`` and then ``[Re T | Im T]^2 M``.
+    """
+    g, m, c = _lag_tables(params.block_len, params.window, tag.shape[-1] - 1)
+    spectrum = tag.view(np.float64) @ g
+    spectrum *= spectrum
+    h_r = reflect @ _dft_rows(params.block_len, params.window, reflect.shape[-1]).T
+    return spectrum @ m, h_r, c
 
 
 def _amp(params: SystemParams) -> float:
@@ -160,20 +169,19 @@ def _amp(params: SystemParams) -> float:
 def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.ndarray:
     """``Sigma_1 / floor``, ``window x window``, for one realization's tag and reflect taps.
 
-    It is ``Sigma_0 + amp^2 diag(H_r) (K + K^H) diag(H_r)^H``, with ``K[p, q] =
-    (h_p - h_q) C[p, q] + delta_pq h_n,p``, ``h = rho Omega`` and ``h_n = rho Omega_n``.
-    A lift/floor within a few orders of the largest double can overflow entries to inf
-    or nan; every threshold lies below 40 noise floors there, so fixed mode decides 1
-    every bit-1 trial where ``Sigma_1`` is not finite, and the kernel every trial whose
-    statistic is not.
+    It is ``Sigma_0 + amp^2 diag(H_r) X diag(H_r)^H`` with ``X[p, q] = delta_pq e_p +
+    (i / 2) (a_q - a_p) C[p, q]``, the lag spectra ``e`` and ``a`` of :func:`_spectra`;
+    half of the product plus its conjugate transpose keeps the sum exactly Hermitian.
+    Any 1-D tag is taken as a contiguous complex copy, which the taps of a
+    :class:`ChannelSet` already are. A lift/floor within a few orders of the largest
+    double can overflow entries to inf or nan; every threshold lies below 40 noise
+    floors there, so fixed mode decides 1 every bit-1 trial where ``Sigma_1`` is not
+    finite, and the kernel every trial whose statistic is not.
     """
-    k = len(tag)
-    omega, omega_n, c = _lag_tables(params.block_len, params.window, k - 1)
-    rho = np.correlate(tag, tag, "full")[k - 1:]    # rho[d] = sum_j tag[j + d] conj(tag[j])
-    h, h_n = rho @ omega, rho @ omega_n
-    h_r = reflect @ _dft_rows(params.block_len, params.window, len(reflect)).T
+    spectra, h_r, c = _spectra(params, np.ascontiguousarray(tag, dtype=complex), reflect)
+    e, a = spectra[0::2], spectra[1::2]
+    x = h_r[:, None] * (np.diag(e / 2) + 0.25j * (a - a[:, None]) * c) * h_r.conj()
     amp = _amp(params)
-    x = h_r[:, None] * ((h[:, None] - h) * c + np.diag(h_n)) * h_r.conj()
     with np.errstate(over="ignore", invalid="ignore"):
         return sigma0(params) + amp * (amp * (x + x.conj().T))
 
@@ -183,27 +191,19 @@ def signal_form(params: SystemParams, tag: np.ndarray, reflect: np.ndarray,
     """``Re(u^H (Sigma_1 - Sigma_0) u)`` for ``(m, k)`` tag and ``(m, reflect_order + 1)``
     reflect taps and ``(m, window)`` normals.
 
-    It is ``amp^2 sum_p [2 Re(h_n,p) |b_p|^2 - 4 Im(h_p) Im(conj(b_p) z_p)]``, with the
-    lag spectra ``h``, ``h_n`` and ``H_r`` of :func:`sigma1`, ``b = conj(H_r) u`` and ``z =
-    C b``. The lag spectra come from the tag's periodogram in two real products,
-    ``[Re T | Im T] = tag G`` and then ``[Re T | Im T]^2 M`` (:func:`_periodogram_tables`),
-    ``O(k^2 + k window)`` work per trial in place of a sum per lag; ``C b`` is
-    ``O(window^2)``. ``z`` is overwritten with ``conj(b) z`` and its real parts with
-    ``|b|^2``, so the sum is one row-wise dot of two ``(m, 2 window)`` real arrays; as
-    ``amp`` multiplies it last, the form overflows only to ``+inf``.
+    It is ``amp^2 sum_p [e_p |b_p|^2 + a_p Im(conj(b_p) z_p)]``, with the lag spectra
+    ``e``, ``a`` and ``H_r`` of :func:`_spectra`, ``b = conj(H_r) u`` and ``z = C b``: the
+    spectra take ``O(k^2 + k window)`` work per trial and ``C b`` ``O(window^2)``. ``z`` is
+    overwritten with ``conj(b) z`` and its real parts with ``|b|^2``, so the sum is one
+    row-wise dot of two ``(m, 2 window)`` real arrays; as ``amp`` multiplies it last, the
+    form overflows only to ``+inf``.
     """
-    k = tag.shape[1]
-    g, table = _periodogram_tables(params.block_len, params.window, k - 1)
-    _, _, c = _lag_tables(params.block_len, params.window, k - 1)
-    spectrum = tag.view(np.float64) @ g
-    spectrum *= spectrum
-    hh = spectrum @ table
-    h_r = reflect @ _dft_rows(params.block_len, params.window, reflect.shape[1]).T
+    spectra, h_r, c = _spectra(params, tag, reflect)
     b = h_r.conj() * u
     z = b @ c.T
     np.multiply(z, b.conj(), out=z)
     np.add(b.real ** 2, b.imag ** 2, out=z.real)
-    form = np.einsum("ij,ij->i", hh, z.view(np.float64))
+    form = np.einsum("ij,ij->i", spectra, z.view(np.float64))
     amp = _amp(params)
     with np.errstate(over="ignore", invalid="ignore"):
         return amp * (amp * form)

@@ -15,10 +15,9 @@ statistic has that law too, and its genie threshold reads its taps only through
 their energies, which for unit ``CN(0, 1)`` taps are standard gammas of shape
 ``tag_order + 1`` and ``reflect_order + 1``. A redrawn bit-1 trial draws its taps
 and ``u``, and its statistic is ``Re(u^H Sigma_0 u)`` plus
-:func:`backscatter.exact.signal_form`. A fixed sweep builds each cell's
-``Sigma_1`` on its own and takes a window's eigenvalues in one stacked ``eigvalsh``
-(:func:`_fixed_realizations`), which factors each matrix alone, so every cell gets
-the values a point computed alone gets, bit for bit.
+:func:`backscatter.exact.signal_form`. A fixed point builds its ``Sigma_1`` and takes
+its eigenvalues once, before its first trial; a sweep sets each of its cells up alone,
+as that point.
 
 The trials of a point run in blocks of :func:`_block_trials` trials. Each
 block draws from its own SFC64 stream keyed (seed, point, 1, block): first
@@ -44,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, derive_params,
-                   draw_channels, generator, params_to_map, substream)
+from .core import (MIN_POWER, ChannelSet, InvalidConfig, SystemParams, complex_normal,
+                   derive_params, draw_channels, generator, params_to_map, substream)
 from .detector import (ThresholdKind, _tap_energy, analytic_ber, compute_scales, detect,
                        energy_scales, threshold_for)
 from .exact import _sigma0_form, sigma0_eigenvalues, sigma1, signal_form
@@ -142,7 +141,7 @@ def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
     """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel, 8 for
     each of a fixed trial's ``window`` exponentials, bit and statistic, and 16 for each of
     a redraw trial's ``3k + 2 reflect_order + 1 + 6 window`` complex words (``k = tag_order
-    + 1``, counted as bit 1), which hold its taps and ``u`` (one normal fill), the tag's
+    + 1``, counted as bit 1), which hold its taps and ``u``, the tag's
     ``(2k - 1)``-point DFT, ``H_r``, ``b``, ``z``, the lag spectra and ``F_L^H u``."""
     w, k, r = params.window, params.tag_order + 1, params.reflect_order
     fixed = mode is ChannelMode.FIXED_REALIZATION
@@ -214,13 +213,8 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
             energy[1, zeros] = rng.standard_gamma(r + 1, n - m)
             stat = np.empty(n)
             stat[zeros] = rng.standard_exponential((n - m, w)) @ lam0
-            # one fill holds the draws of the taps and then of u, scaled as complex_normal does
-            normals = np.empty(m * (width + r + 1 + w), dtype=np.complex128)
-            parts, split = normals.view(np.float64), m * (width + r + 1)
-            rng.standard_normal(out=parts)
-            parts[:2 * split] *= math.sqrt(1.0 / 2.0)
-            parts[2 * split:] *= math.sqrt(1.0 / w / 2.0)
-            taps, u = normals[:split].reshape(m, width + r + 1), normals[split:].reshape(m, w)
+            taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
+            u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
             tag, reflect = taps[:, :width], taps[:, width:]
             energy[0, bits], energy[1, bits] = _tap_energy(tag), _tap_energy(reflect)
             threshold = _thresholds(params, kind, energy[0], energy[1])
@@ -235,41 +229,15 @@ def _count_errors(params: SystemParams, kind: ThresholdKind,
     return errors
 
 
-def _fixed_realizations(cells: list[tuple[SystemParams, np.random.SeedSequence]]
-                        ) -> list[tuple[ChannelSet, np.ndarray]]:
-    """Each fixed cell's channel realization and ``Sigma_1`` eigenvalues over ``window``.
-
-    The cells share one window's geometry and may differ in source power. Each draws its
-    channels from its own PCG64 stream (point, 0) and builds its ``Sigma_1`` with
-    :func:`sigma1`; one stacked ``eigvalsh``, which factors each matrix alone, takes the
-    eigenvalues of the finite ones, so each cell's values are those of a stack of one,
-    bit for bit. A ``Sigma_1`` with entries that overflowed gets infinite eigenvalues, so
-    every bit-1 trial decides 1. Stacks hold up to ``BLOCK_BYTES`` of covariances.
-    """
-    p = cells[0][0]
-    size = max(1, BLOCK_BYTES // (16 * p.window * p.window))
-    channels = [draw_channels(q, generator(substream(point, 0))) for q, point in cells]
-    lam1 = np.full((len(cells), p.window), math.inf)
-    for first in range(0, len(cells), size):
-        chunk = slice(first, first + size)
-        cov = np.stack([sigma1(q, ch.tag, ch.reflect)
-                        for (q, _), ch in zip(cells[chunk], channels[chunk])])
-        finite = np.isfinite(cov).all(axis=(1, 2))
-        if finite.any():
-            lam1[chunk][finite] = np.linalg.eigvalsh(cov[finite])
-    return list(zip(channels, lam1 / p.window))
-
-
 @_one_blas_thread
 def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
-                 snr_db: float, stream: np.random.SeedSequence, *, workers: int = 1,
-                 _realization: tuple[ChannelSet, np.ndarray] | None = None) -> BerRecord:
+                 snr_db: float, stream: np.random.SeedSequence, *, workers: int = 1) -> BerRecord:
     """Empirical BER at one operating point, bits drawn equiprobably.
 
-    Fixed mode takes one channel realization and the eigenvalues of its
-    ``Sigma_1`` from :func:`_fixed_realizations`, for a stack of one unless
-    :func:`sweep` passes them in as ``_realization``, computes the threshold once
-    and reports the matching Gaussian-model prediction. Redraw mode draws
+    Fixed mode draws one channel realization from the PCG64 stream (point, 0),
+    takes the eigenvalues of its ``Sigma_1`` over ``window``, all infinite when
+    ``Sigma_1`` is not finite, so that every bit-1 trial decides 1, computes the
+    threshold once and reports the matching Gaussian-model prediction. Redraw mode draws
     every trial's tap energies, and a bit-1 trial's taps, recomputes the genie
     threshold for every trial and the bit-1 form for every bit-1 trial, and
     reports no prediction. Scales without a lift (zero tag gain) raise
@@ -281,7 +249,10 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     law: tuple[float, np.ndarray, np.ndarray] | None = None
     analytic: float | None = None
     if mode is ChannelMode.FIXED_REALIZATION:
-        channels, lam1 = _realization or _fixed_realizations([(p, stream)])[0]
+        channels = draw_channels(p, generator(substream(stream, 0)))
+        cov = sigma1(p, channels.tag, channels.reflect)
+        lam1 = (np.linalg.eigvalsh(cov) if np.isfinite(cov).all()
+                else np.full(p.window, math.inf)) / p.window
         scales = compute_scales(p, channels)
         threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
@@ -315,25 +286,17 @@ def sweep(params: SystemParams, snr_values: list[float], w_values: list[int],
     done; ``params.window`` is replaced by each of ``w_values``, and each
     window's parameters are derived once. Each cell gets its own substream
     keyed by enumeration order, so a rerun with the same stream reproduces
-    every record bit for bit. In fixed mode a window's cells get their
-    realizations from one :func:`_fixed_realizations` call, which gives each
-    cell what :func:`estimate_ber` computes for it alone. While it runs, numpy's
+    every record bit for bit; each cell is one :func:`estimate_ber` call, which
+    in fixed mode sets the cell's realization up alone. While it runs, numpy's
     OpenBLAS runs any Python thread's products on one thread (:func:`_one_blas_thread`).
     """
     for name, axis in (("snr_values", snr_values), ("w_values", w_values), ("kinds", kinds)):
         if not axis:
             raise InvalidConfig(f"{name} is empty; a sweep needs at least one value")
     base = params_to_map(params)
-    grid = []
+    cells = []
     for w in w_values:
         window = derive_params({**base, "window": w})
-        grid.append([(params_at_snr(window, snr), snr) for snr in snr_values])
-    records: list[BerRecord] = []
-    for cells in grid:
-        points = [(p, snr, kind, substream(stream, len(records) + i))
-                  for i, ((p, snr), kind) in enumerate(product(cells, kinds))]
-        laws = (_fixed_realizations([(p, point) for p, _, _, point in points])
-                if mode is ChannelMode.FIXED_REALIZATION else [None] * len(points))
-        records += [estimate_ber(p, kind, mode, snr, point, workers=workers, _realization=law)
-                    for (p, snr, kind, point), law in zip(points, laws)]
-    return records
+        cells += [(params_at_snr(window, snr), snr) for snr in snr_values]
+    return [estimate_ber(p, kind, mode, snr, substream(stream, i), workers=workers)
+            for i, ((p, snr), kind) in enumerate(product(cells, kinds))]

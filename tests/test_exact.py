@@ -6,8 +6,6 @@ samples the linear maps give the chain's bins, and the lag-form covariance
 and the kernel's bit-1 form equal the ones built from the probed bin
 responses.
 """
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,22 +71,30 @@ def test_sigma0_rank_form_is_the_quadratic_form(over):
 @pytest.mark.parametrize("window", ["geometry", 1, "block_len"])
 @pytest.mark.parametrize("over", list(GEOMETRIES.values()), ids=list(GEOMETRIES))
 def test_closed_form_lag_maps_are_the_shifted_dft_products(over, window):
-    # M_d = F_W J_d F_W^H = F_W[:, d:] F_W[:, :N - d]^H, and 0 for d >= N
+    # M_d = F_W J_d F_W^H = F_W[:, d:] F_W[:, :N - d]^H is diag(Omega[d]) C - C
+    # diag(Omega[d]) + (N - d) diag(Omega[d]), Omega[d, p] = w^(pd), and 0 for d >= N; the
+    # lag spectra read off the tag's periodogram are e = 2 Re(rho Omega_n) and a = -4 Im(rho
+    # Omega), rho the tag's autocorrelation and Omega_n[d] = (N - d) Omega[d], row 0 halved
     p = make_params(**over)
-    n = p.block_len
+    n, k = p.block_len, p.tag_order + 1
     w = {"geometry": p.window, "block_len": n}.get(window, window)
-    omega, omega_n, c = exact._lag_tables(n, w, p.tag_order)
+    d = np.arange(k)[:, None]
+    omega = np.where(d < n, np.exp(-2j * np.pi * d * np.arange(w) / n), 0)
+    omega_n = np.where(d == 0, n / 2, n - d) * omega
+    _, _, c = exact._lag_tables(n, w, p.tag_order)
     f = exact._dft_rows(n, w)
     assert np.array_equal(c, c.conj().T)
-    for d in range(p.tag_order + 1):
-        if d >= n:
-            assert not omega[d].any() and not omega_n[d].any()
-            continue
-        want = f[:, d:] @ f[:, :n - d].conj().T
-        weights = 2 * omega_n[0] if d == 0 else omega_n[d]
-        got = omega[d][:, None] * c - c * omega[d] + np.diag(weights)
+    for lag in range(min(k, n)):
+        want = f[:, lag:] @ f[:, :n - lag].conj().T
+        got = omega[lag][:, None] * c - c * omega[lag] + np.diag((n - lag) * omega[lag])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.max(np.abs(weights - (n - d) * omega[d])) <= 1e-12 * (n - d)
+    tags = complex_normal(np.random.default_rng(57), 3 * k, 1.0).reshape(3, k)
+    rho = np.stack([np.correlate(tag, tag, "full")[k - 1:] for tag in tags])
+    want = np.empty((3, 2 * w))
+    want[:, 0::2], want[:, 1::2] = 2 * (rho @ omega_n).real, -4 * (rho @ omega).imag
+    spectra, _, _ = exact._spectra(make_params(**{**over, "window": w}), tags,
+                                   np.zeros((3, p.reflect_order + 1), dtype=complex))
+    assert np.max(np.abs(spectra - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # The signal form's edge geometries: a one-point fine grid for the tag's periodogram
@@ -224,13 +230,36 @@ def test_sigma1_of_no_realization_is_empty():
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
 def test_stacked_sigma1_rows_are_the_one_row_calls(over, windows, m):
-    # a fixed sweep builds each of its window's Sigma_1 alone, at its cell's source power,
-    # and takes their eigenvalues in one stacked eigvalsh: every row of the stack is the
-    # eigenvalues of its cell's Sigma_1 over window, bit for bit
+    # sigma1 takes one tag's lag spectra and signal_form a stack's, from the same helper:
+    # each row of the stack's bit-1 form is Re(u^H (Sigma_1 - Sigma_0) u) of its own
+    # Sigma_1, and each row of the stack's spectra is the row's one-tag spectra
     for w in windows:
         p = make_params(**{**over, "window": w})
-        powers = p.noise_power * 10.0 ** (np.arange(m) * 0.7 + 0.5)
-        cells = [(replace(p, source_power=float(power)), np.random.SeedSequence(60 + j))
-                 for j, power in enumerate(powers)]
-        for (q, _), (ch, lam) in zip(cells, sim._fixed_realizations(cells)):
-            assert np.array_equal(lam, np.linalg.eigvalsh(exact.sigma1(q, ch.tag, ch.reflect)) / w)
+        rng = np.random.default_rng(60 + m)
+        chans = [draw_channels(p, rng) for _ in range(m)]
+        u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+        tag, reflect = np.stack([ch.tag for ch in chans]), np.stack([ch.reflect for ch in chans])
+        s0 = exact.sigma0(p)
+        want = [np.vdot(x, (exact.sigma1(p, ch.tag, ch.reflect) - s0) @ x).real
+                for ch, x in zip(chans, u)]
+        got = exact.signal_form(p, tag, reflect, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        spectra, h_r, _ = exact._spectra(p, tag, reflect)
+        for row, ch in enumerate(chans):
+            one, one_h_r, _ = exact._spectra(p, ch.tag, ch.reflect)
+            assert np.max(np.abs(spectra[row] - one)) <= 1e-12 * np.max(np.abs(one))
+            assert np.max(np.abs(h_r[row] - one_h_r)) <= 1e-12 * np.max(np.abs(one_h_r))
+
+
+def test_sigma1_takes_any_1d_tag():
+    # a real tag and a strided one give the Sigma_1 of their contiguous complex copies;
+    # the periodogram reads a tag through its float view, which neither has
+    p = make_params(**SHORT)
+    ch = draw_channels(p, np.random.default_rng(58))
+    real = ch.tag.real.copy()
+    assert np.array_equal(exact.sigma1(p, real, ch.reflect),
+                          exact.sigma1(p, real.astype(complex), ch.reflect))
+    strided = np.repeat(ch.tag, 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(exact.sigma1(p, strided, ch.reflect),
+                          exact.sigma1(p, ch.tag, ch.reflect))

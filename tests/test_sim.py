@@ -345,6 +345,20 @@ def fixed_law(q, kind, point):
             sigma0_eigenvalues(q) / q.window, lam1 / q.window)
 
 
+def kernel_laws(run):
+    """``run()`` and the laws it hands the trial kernel, one per serial point."""
+    laws = []
+    count = sim._count_errors
+
+    def recording(q, kind, law, *rest):
+        laws.append(law)
+        return count(q, kind, law, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_count_errors", recording)
+        return run(), laws
+
+
 @pytest.mark.parametrize("kind", list(ThresholdKind))
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_trial_streams_are_keyed_per_block(mode, kind):
@@ -423,7 +437,7 @@ def blas_threads():
 
 @pytest.mark.parametrize("over", [{}, SHORT], ids=["reference", "short"])
 def test_kernel_products_run_on_one_blas_thread(over, monkeypatch, tmp_path):
-    # at the geometry's widest window up to 64, where a fixed window's eigvalsh and a
+    # at the geometry's widest window up to 64, where a fixed cell's eigvalsh and a
     # redraw block's C b are past the sizes at which OpenBLAS starts a second thread,
     # every stream derivation, bit-1 form and eigvalsh of a three-block sweep reads one
     # OpenBLAS thread, in the parent and in pool workers, and the sweep restores the count
@@ -480,6 +494,37 @@ def test_blas_guard_restores_the_count():
         assert get() == previous + 1
     finally:
         put(previous)
+
+
+def test_openblas_lookup_finds_the_numpy_1_names(monkeypatch, tmp_path):
+    # a numpy 1 wheel bundles numpy.libs/libopenblas64_p-*.so, which exports the thread
+    # calls under the plain openblas prefix and not the scipy_openblas one of numpy 2
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libopenblas64_p-fake.so").touch()
+    loaded = []
+
+    class Numpy1OpenBLAS:
+        def __init__(self, path):
+            self.path = path
+            loaded.append(self)
+
+        def openblas_get_num_threads64_(self):
+            return 1
+
+        def openblas_set_num_threads64_(self, count):
+            pass
+
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(sim.ctypes, "CDLL", Numpy1OpenBLAS)
+    sim._openblas_threads.cache_clear()
+    try:
+        threads = sim._openblas_threads()
+    finally:
+        sim._openblas_threads.cache_clear()
+    lib, = loaded
+    assert lib.path == str(libs / "libopenblas64_p-fake.so")
+    assert threads == (lib.openblas_get_num_threads64_, lib.openblas_set_num_threads64_)
 
 
 @pytest.mark.parametrize("mode", list(ChannelMode))
@@ -702,29 +747,27 @@ def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch):
 
 @pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
 def test_fixed_sweep_equals_the_one_cell_path(over, windows):
-    # a fixed sweep builds each cell's Sigma_1 alone and takes its window's eigenvalues in
-    # one stacked eigvalsh: each cell's realization and eigenvalues are what estimate_ber
-    # sets up for the cell alone, bit for bit, and so is each record, for both threshold kinds
+    # a fixed sweep's cell is the estimate_ber call for the cell alone on the cell's
+    # substream, bit for bit, for both threshold kinds, and its kernel law is that of its
+    # own realization's Sigma_1
     snrs, kinds = [6.0, 14.0, 22.0], list(ThresholdKind)
     stream = np.random.SeedSequence(71)
     at = {w: make_params(**{**over, "window": w, "trials": 300}) for w in windows}
-    records = sweep(at[windows[0]], snrs, list(windows), kinds, FIXED, stream)
+    records, laws = kernel_laws(lambda: sweep(at[windows[0]], snrs, list(windows), kinds,
+                                              FIXED, stream))
     cells = [(w, snr, kind, substream(stream, idx))
              for idx, (w, snr, kind) in enumerate(product(windows, snrs, kinds))]
     assert records == [estimate_ber(at[w], kind, FIXED, snr, point) for w, snr, kind, point in cells]
-    for w in windows:
-        stack = [(params_at_snr(at[w], snr), point) for v, snr, _, point in cells if v == w]
-        for cell, (ch, lam) in zip(stack, sim._fixed_realizations(stack)):
-            (one_ch, one_lam), = sim._fixed_realizations([cell])
-            assert np.array_equal(ch.tag, one_ch.tag) and np.array_equal(ch.reflect, one_ch.reflect)
-            assert np.array_equal(lam, one_lam)
+    for (w, snr, kind, point), law in zip(cells, laws):
+        want = fixed_law(params_at_snr(at[w], snr), kind, point)
+        assert all(np.array_equal(a, b) for a, b in zip(law, want))
 
 
 def test_window_of_finite_and_overflowing_sigma1_rows(monkeypatch):
     # at tag_gain 5e152 and noise_power 1e-6 this SNR axis crosses the overflow of Sigma_1
     # (not that of the scales): at this seed cells 3 and 4 of the window overflow. Only
-    # their rows get infinite eigenvalues, eigvalsh never sees a non-finite matrix, and
-    # every record is the cell's one-cell record
+    # they get infinite eigenvalues, eigvalsh never sees a non-finite matrix, and every
+    # record is the cell's one-cell record
     p = small_params(trials=200, noise_power=1e-6, tag_gain=5e152)
     snrs, kinds = [0.0, 10.0, 12.0], list(ThresholdKind)
     stream = np.random.SeedSequence(179)
@@ -738,20 +781,22 @@ def test_window_of_finite_and_overflowing_sigma1_rows(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", checking)
     cells = [(params_at_snr(p, snr), substream(stream, idx), snr, kind)
              for idx, (snr, kind) in enumerate(product(snrs, kinds))]
-    laws = sim._fixed_realizations([(q, point) for q, point, _, _ in cells])
-    overflows = [not np.isfinite(sigma1(q, ch.tag, ch.reflect)).all()
-                 for (q, *_), (ch, _) in zip(cells, laws)]
+    overflows = []
+    for q, point, *_ in cells:
+        ch = draw_channels(q, generator(substream(point, 0)))
+        overflows.append(not np.isfinite(sigma1(q, ch.tag, ch.reflect)).all())
     assert overflows == [False, False, False, True, True, False]
-    for overflow, (_, lam) in zip(overflows, laws):
-        assert np.isinf(lam).all() if overflow else np.isfinite(lam).all()
-    records = sweep(p, snrs, [p.window], kinds, FIXED, stream)
+    records, laws = kernel_laws(lambda: sweep(p, snrs, [p.window], kinds, FIXED, stream))
+    for overflow, (_, _, lam1) in zip(overflows, laws):
+        assert np.isinf(lam1).all() if overflow else np.isfinite(lam1).all()
     assert records == [estimate_ber(q, kind, FIXED, snr, point) for q, point, snr, kind in cells]
     assert seen and all(seen)
 
 
 def test_fixed_sweep_sets_each_window_up_once(monkeypatch):
-    # counted as sim calls them: one sigma1 per fixed cell, one stacked eigvalsh per
-    # window, one estimate_ber per cell; a redraw sweep builds no Sigma_1
+    # counted as sim calls them: one derivation per window, and one sigma1, eigvalsh and
+    # estimate_ber per fixed cell, all of whose Sigma_1 are finite here; a redraw sweep
+    # builds no Sigma_1
     calls = Counter()
 
     def counting(name, fn):
@@ -764,14 +809,14 @@ def test_fixed_sweep_sets_each_window_up_once(monkeypatch):
     args = ([4.0, 8.0, 12.0], [2, 4, 16], list(ThresholdKind))
     for mode in ChannelMode:        # fill the per-geometry caches, Sigma_0's eigenvalues too
         sweep(p, *args, mode, np.random.SeedSequence(3))
-    monkeypatch.setattr(sim, "sigma1", counting("sigma1", sim.sigma1))
+    for name in ("derive_params", "sigma1", "estimate_ber"):
+        monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(sim, "estimate_ber", counting("estimate_ber", sim.estimate_ber))
     sweep(p, *args, FIXED, np.random.SeedSequence(3))
-    assert calls == {"sigma1": 18, "eigvalsh": 3, "estimate_ber": 18}
+    assert calls == {"derive_params": 3, "sigma1": 18, "eigvalsh": 18, "estimate_ber": 18}
     calls.clear()
     sweep(p, *args, ChannelMode.REDRAW_PER_TRIAL, np.random.SeedSequence(3))
-    assert calls == {"estimate_ber": 18}
+    assert calls == {"derive_params": 3, "estimate_ber": 18}
 
 
 def test_snr_trend_small_scale():
