@@ -100,16 +100,14 @@ def _check_scales(scales: DetectionScales, window: int) -> tuple[float, float]:
     lift, floor = scales.signal_lift, scales.noise_floor
     if not 0 < floor < math.inf:
         raise ValueError(f"noise_floor must be finite and > 0, got {floor}")
-    if isinstance(lift, np.ndarray):
-        with np.errstate(over="ignore"):
-            r = lift / floor
-            ok = (r > 0) & (r < math.inf) & (lift + floor < math.inf)
-        if not ok.all():
-            _check_scales(DetectionScales(float(lift[ok.argmin()]), floor), window)
-        return lift, floor
-    if not lift / floor > 0:
-        raise DegenerateScales(f"signal_lift must be > 0 against noise_floor={floor}, got {lift}")
-    if not (lift / floor < math.inf and lift + floor < math.inf):
+    with np.errstate(over="ignore"):
+        r = np.divide(lift, floor)
+        ok = (r > 0) & (r < math.inf) & (np.add(lift, floor) < math.inf)
+    if not ok.all():
+        lift = np.ravel(lift)[ok.argmin()].item()      # the first bad lift
+        if not lift / floor > 0:
+            raise DegenerateScales(f"signal_lift must be > 0 against noise_floor={floor}, "
+                                   f"got {lift}")
         raise ValueError(f"signal_lift={lift} over noise_floor={floor} overflows")
     return lift, floor
 
@@ -128,16 +126,15 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     though it leaves the bracket.
     """
     lift, floor = _check_scales(scales, window)
+    # lg / r stays near 1 where 2 / r would overflow; numpy's log1p on the scalar path too,
+    # since math's can differ from it in the last bit, so per-trial arrays give the scalar
+    # path's thresholds bit for bit
     r = lift / floor
-    # lg / r stays near 1 where 2 / r would overflow; a scalar lift also takes numpy's
-    # log1p, since math's can differ from it in the last bit, so per-trial arrays give
-    # the scalar path's thresholds bit for bit
-    if isinstance(r, np.ndarray):
-        lg, sqrt = np.log1p(r), np.sqrt
-    else:
-        lg, sqrt = float(np.log1p(r)), math.sqrt
-    return (floor * ((1.0 + r) / (2.0 + r))
-            * (1.0 + sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
+    lg = np.log1p(r)
+    with np.errstate(over="ignore"):        # a floor near the largest double gives inf
+        t = (floor * ((1.0 + r) / (2.0 + r))
+             * (1.0 + np.sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
+    return t if t.ndim else float(t)
 
 
 def optimal_threshold_simplified(scales: DetectionScales, window: int) -> float:

@@ -26,9 +26,10 @@ and ``window`` exponentials each, and its bit-1 trials' tag and reflect taps
 and ``window`` normals each; in fixed mode each trial's ``window`` exponentials.
 It computes its thresholds and statistics on its own, so block sizes are
 part of the stream layout. A fixed channel realization comes from the PCG64
-stream (seed, point, 0). Workers take whole blocks, so every value is
-computed on the same arrays for any worker count and aggregation is a plain
-error-count sum.
+stream (seed, point, 0). The block is the kernel's one unit: a point's error
+count is the sum of one map of the block kernel over its blocks, serial or over
+a pool in contiguous chunks, so every value is computed on the same arrays for
+any worker count.
 """
 from __future__ import annotations
 
@@ -183,50 +184,46 @@ def _one_blas_thread(fn):
 
 
 @_one_blas_thread
-def _count_errors(params: SystemParams, kind: ThresholdKind,
-                  law: tuple[float, np.ndarray, np.ndarray] | None,
-                  point: np.random.SeedSequence, first: int, last: int) -> int:
-    """Errors over trial blocks [first, last); the chunk worker.
+def _count_errors(params: SystemParams, kind: ThresholdKind, law: tuple[float, np.ndarray] | None,
+                  point: np.random.SeedSequence, block: int) -> int:
+    """Errors in trial block ``block`` of the point, drawn from its own stream and computed
+    alone; the unit a pool worker runs.
 
-    ``law`` is the fixed realization's threshold and the eigenvalues of ``Sigma_0``
-    and ``Sigma_1`` over ``window``, in noise-floor units, and a trial's statistic is
-    its exponentials' sum weighted by its bit's eigenvalues. Without it a bit-0 trial
-    takes the fixed bit-0 law, since ``Sigma_0`` depends on the geometry only, and its
-    taps' energies, which are all its threshold reads, as two standard gammas; a bit-1
-    trial draws its taps and adds its signal form to ``Re(u^H Sigma_0 u)``. A
-    statistic that is not finite decides 1. Each block draws from its own stream and
-    is computed alone.
+    ``law`` is the fixed realization's threshold and the eigenvalues of ``Sigma_1`` over
+    ``window``, in noise-floor units, and a trial's statistic is its exponentials' sum
+    weighted by its bit's eigenvalues, those of ``Sigma_0`` over ``window`` for bit 0,
+    which depend on the geometry only. Without it a bit-0 trial takes that fixed bit-0
+    law and its taps' energies, which are all its threshold reads, as two standard
+    gammas; a bit-1 trial draws its taps and adds its signal form to
+    ``Re(u^H Sigma_0 u)``. A statistic that is not finite decides 1.
     """
     w, width, r = params.window, params.tag_order + 1, params.reflect_order
     mode = ChannelMode.REDRAW_PER_TRIAL if law is None else ChannelMode.FIXED_REALIZATION
     size = _block_trials(params, mode)
-    lam0 = sigma0_eigenvalues(params) / w if law is None else law[1]
-    errors = 0
-    for block in range(first, last):
-        n = min(size, params.trials - block * size)
-        rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
-        bits = rng.integers(0, 2, n) == 1
-        if law is None:
-            zeros, m = ~bits, int(np.count_nonzero(bits))
-            energy = np.empty((2, n))
-            energy[0, zeros] = rng.standard_gamma(width, n - m)
-            energy[1, zeros] = rng.standard_gamma(r + 1, n - m)
-            stat = np.empty(n)
-            stat[zeros] = rng.standard_exponential((n - m, w)) @ lam0
-            taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
-            u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
-            tag, reflect = taps[:, :width], taps[:, width:]
-            energy[0, bits], energy[1, bits] = _tap_energy(tag), _tap_energy(reflect)
-            threshold = _thresholds(params, kind, energy[0], energy[1])
-            with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
-                stat[bits] = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
-        else:
-            threshold, _, lam1 = law
-            e = rng.standard_exponential((n, w))
-            with np.errstate(over="ignore", invalid="ignore"):      # see estimate_ber
-                stat = np.where(bits, e @ lam1, e @ lam0)
-        errors += int(np.count_nonzero(~(stat <= threshold) != bits))
-    return errors
+    n = min(size, params.trials - block * size)
+    lam0 = sigma0_eigenvalues(params) / w
+    rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
+    bits = rng.integers(0, 2, n) == 1
+    if law is None:
+        zeros, m = ~bits, int(np.count_nonzero(bits))
+        energy = np.empty((2, n))
+        energy[0, zeros] = rng.standard_gamma(width, n - m)
+        energy[1, zeros] = rng.standard_gamma(r + 1, n - m)
+        stat = np.empty(n)
+        stat[zeros] = rng.standard_exponential((n - m, w)) @ lam0
+        taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
+        u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+        tag, reflect = taps[:, :width], taps[:, width:]
+        energy[0, bits], energy[1, bits] = _tap_energy(tag), _tap_energy(reflect)
+        threshold = _thresholds(params, kind, energy[0], energy[1])
+        with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
+            stat[bits] = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
+    else:
+        threshold, lam1 = law
+        e = rng.standard_exponential((n, w))
+        with np.errstate(over="ignore", invalid="ignore"):      # see estimate_ber
+            stat = np.where(bits, e @ lam1, e @ lam0)
+    return int(np.count_nonzero(~(stat <= threshold) != bits))
 
 
 @_one_blas_thread
@@ -246,7 +243,7 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     products on one thread (:func:`_one_blas_thread`).
     """
     p = params_at_snr(params, snr_db)
-    law: tuple[float, np.ndarray, np.ndarray] | None = None
+    law: tuple[float, np.ndarray] | None = None
     analytic: float | None = None
     if mode is ChannelMode.FIXED_REALIZATION:
         channels = draw_channels(p, generator(substream(stream, 0)))
@@ -256,18 +253,18 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
         scales = compute_scales(p, channels)
         threshold = threshold_for(kind, scales, p.window)
         analytic = analytic_ber(threshold, scales, p.window)
-        law = (threshold / scales.noise_floor, sigma0_eigenvalues(p) / p.window, lam1)
+        law = (threshold / scales.noise_floor, lam1)
 
     n = p.trials
     blocks = -(-n // _block_trials(p, mode))
     count = partial(_count_errors, p, kind, law, stream)
     if workers <= 1:
-        errors = count(0, blocks)
+        errors = sum(map(count, range(blocks)))
     else:
         used = min(workers, blocks)     # a worker without a block would idle
-        bounds = np.linspace(0, blocks, used + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=used) as pool:
-            errors = sum(pool.map(count, bounds[:-1], bounds[1:]))
+            # chunks of blocks // used blocks are at least `used`, one for each worker
+            errors = sum(pool.map(count, range(blocks), chunksize=blocks // used))
 
     ber = errors / n
     return BerRecord(snr_db=snr_db, window=p.window, threshold_kind=kind,

@@ -7,10 +7,12 @@ Gamma-distributed with integer shape. Where the Gaussian model is a known
 idealization the tests document the gap instead of hiding it.
 """
 import math
+import multiprocessing
 import os
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import product
 
@@ -307,7 +309,11 @@ def test_sweep_records_are_worker_invariant(mode):
 
 
 def test_pool_is_sized_to_the_blocks(monkeypatch):
-    # a pool never starts a worker that would get no trial block
+    # a pool never starts a worker that would get no trial block: it has min(workers,
+    # blocks) workers and maps every block once, in order, in at least as many contiguous
+    # chunks (5 blocks on 4 workers take 5 chunks, not the 3 of chunksize ceil(5 / 4)).
+    # A fixed sweep with workers=2, the shape wide-grid-2w measures, starts one such pool
+    # per cell, of one worker for a one-block cell of 100 trials
     import backscatter.sim as sim_module
     pools = []
 
@@ -316,43 +322,68 @@ def test_pool_is_sized_to_the_blocks(monkeypatch):
             pools.append({"workers": max_workers})
             super().__init__(max_workers=max_workers, **kwargs)
 
-        def map(self, fn, *iterables, **kwargs):
-            ranges = list(zip(*iterables))
-            pools[-1]["ranges"] = ranges
-            return super().map(fn, *zip(*ranges), **kwargs)
+        def map(self, fn, blocks, *, chunksize=1, **kwargs):
+            blocks = list(blocks)
+            pools[-1].update(blocks=blocks, chunks=-(-len(blocks) // chunksize))
+            return super().map(fn, blocks, chunksize=chunksize, **kwargs)
+
+    def check_pool(pool, blocks, workers):
+        used = min(workers, blocks)
+        assert (pool["workers"], pool["blocks"]) == (used, list(range(blocks)))
+        assert pool["chunks"] >= used
 
     monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
-    b = sim._block_trials(small_params(), ChannelMode.FIXED_REALIZATION)
-    for trials, workers, used in ((3, 2, 1), (40, 2, 1), (2 * b + 7, 2, 2), (2 * b + 7, 4, 3)):
+    b = sim._block_trials(small_params(), FIXED)
+    for trials, workers in ((3, 2), (40, 2), (2 * b + 7, 2), (2 * b + 7, 4), (4 * b + 1, 4)):
         p = small_params(trials=trials)
-        args = (p, ThresholdKind.OPTIMAL, ChannelMode.FIXED_REALIZATION, 8.0)
+        args = (p, ThresholdKind.OPTIMAL, FIXED, 8.0)
         serial = estimate_ber(*args, np.random.SeedSequence(29))
         pools.clear()
         assert estimate_ber(*args, np.random.SeedSequence(29), workers=workers) == serial
-        blocks = -(-trials // b)
-        assert [pool["workers"] for pool in pools] == [used]
-        ranges = pools[0]["ranges"]
-        assert len(ranges) == used and all(first < last for first, last in ranges)
-        assert [first for first, _ in ranges] + [blocks] == [0] + [last for _, last in ranges]
+        assert len(pools) == 1
+        check_pool(pools[0], -(-trials // b), workers)
+    windows = [2, 4, 16]
+    for trials in (100, 2 * b + 7):
+        args = (small_params(trials=trials), [6.0, 12.0], windows, list(ThresholdKind), FIXED)
+        serial = sweep(*args, np.random.SeedSequence(31))
+        pools.clear()
+        assert sweep(*args, np.random.SeedSequence(31), workers=2) == serial
+        cells = [w for w in windows for _ in range(4)]
+        assert len(pools) == len(cells)
+        for pool, w in zip(pools, cells):
+            check_pool(pool, -(-trials // sim._block_trials(small_params(window=w), FIXED)), 2)
+
+
+@pytest.mark.parametrize("mode", list(ChannelMode))
+def test_spawned_pool_workers_give_the_serial_record(mode, monkeypatch):
+    # spawn is macOS's default start method, and forkserver Linux's from Python 3.14: a
+    # worker that imports the package afresh computes the serial record of 3 blocks
+    b = sim._block_trials(small_params(), mode)
+    args = (small_params(trials=2 * b + 7), ThresholdKind.OPTIMAL, mode, 8.0)
+    serial = estimate_ber(*args, np.random.SeedSequence(83))
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    assert estimate_ber(*args, np.random.SeedSequence(83), workers=2) == serial
 
 
 def fixed_law(q, kind, point):
-    """The fixed kernel's law at a point: threshold and both eigenvalue sets, over the floor."""
+    """The fixed kernel's law at a point: threshold and ``Sigma_1``'s eigenvalues, over the
+    floor and ``window``."""
     ch = draw_channels(q, generator(substream(point, 0)))
     scales = compute_scales(q, ch)
     lam1 = np.linalg.eigvalsh(sigma1(q, ch.tag, ch.reflect))
-    return (threshold_for(kind, scales, q.window) / scales.noise_floor,
-            sigma0_eigenvalues(q) / q.window, lam1 / q.window)
+    return threshold_for(kind, scales, q.window) / scales.noise_floor, lam1 / q.window
 
 
 def kernel_laws(run):
-    """``run()`` and the laws it hands the trial kernel, one per serial point."""
+    """``run()`` and the laws it hands the trial kernel, one per serial point (its block 0)."""
     laws = []
     count = sim._count_errors
 
-    def recording(q, kind, law, *rest):
-        laws.append(law)
-        return count(q, kind, law, *rest)
+    def recording(q, kind, law, point, block):
+        if block == 0:
+            laws.append(law)
+        return count(q, kind, law, point, block)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_count_errors", recording)
@@ -381,7 +412,8 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
     q = params_at_snr(p, 14.0)
     point = np.random.SeedSequence(8)
     w = q.window
-    th, *lams = fixed_law(q, kind, point)
+    th, lam1 = fixed_law(q, kind, point)
+    lams = (sigma0_eigenvalues(q) / w, lam1)
     errors = other_errors = 0
     for block in range(3):
         n = min(b, q.trials - block * b)
@@ -411,20 +443,19 @@ def test_trial_streams_are_keyed_per_block(mode, kind):
 @pytest.mark.parametrize("window", [2, 16])
 @pytest.mark.parametrize("mode", list(ChannelMode))
 def test_blocks_are_computed_alone(mode, window):
-    # worker invariance rests on each block being computed alone: the count
-    # over all blocks is the sum of the blocks' own counts, and the record
-    # is the same for one, two and three workers, with a short last block
+    # worker invariance rests on each block being computed alone: each block's count is
+    # the same whichever blocks ran before it, and their sum is the record's for one, two
+    # and three workers, with a short last block
     kind = ThresholdKind.OPTIMAL
     b = sim._block_trials(make_params(window=window), mode)
     q = params_at_snr(make_params(window=window, trials=3 * b + 7), 14.0)
     point = np.random.SeedSequence(37)
-    law = fixed_law(q, kind, point) if mode is ChannelMode.FIXED_REALIZATION else None
-    errors = sim._count_errors(q, kind, law, point, 0, 4)
-    assert errors == sum(sim._count_errors(q, kind, law, point, k, k + 1) for k in range(4))
-    serial = estimate_ber(q, kind, mode, 14.0, point)
-    assert serial.empirical_ber == errors / q.trials
-    for workers in (2, 3):
-        assert estimate_ber(q, kind, mode, 14.0, point, workers=workers) == serial
+    law = fixed_law(q, kind, point) if mode is FIXED else None
+    counts = [sim._count_errors(q, kind, law, point, k) for k in range(4)]
+    assert counts[::-1] == [sim._count_errors(q, kind, law, point, k) for k in range(3, -1, -1)]
+    for workers in (1, 2, 3):
+        rec = estimate_ber(q, kind, mode, 14.0, point, workers=workers)
+        assert rec.empirical_ber == sum(counts) / q.trials
 
 
 def blas_threads():
@@ -564,19 +595,20 @@ def test_wide_windows_use_no_second_blas_thread(mode):
 
 @pytest.mark.parametrize("window", [2, 8, 16])
 def test_kernel_memory_is_bounded_per_block(window):
-    # the peak of numpy's traced allocations over a redraw chunk is set by
-    # one block, not by the chunk: 100 blocks peak no higher than 20, up to
-    # the spread of the bit-1 count between blocks
+    # the peak of numpy's traced allocations over a redraw point is set by one block, not
+    # by the point: 100 blocks peak no higher than 20, up to the spread of the bit-1
+    # count between blocks
     kind = ThresholdKind.OPTIMAL
+    mode = ChannelMode.REDRAW_PER_TRIAL
     point = np.random.SeedSequence(41)
-    b = sim._block_trials(make_params(window=window), ChannelMode.REDRAW_PER_TRIAL)
+    b = sim._block_trials(make_params(window=window), mode)
+    estimate_ber(make_params(trials=b, window=window), kind, mode, 20.0, point)  # fill caches
     peaks = []
     for blocks in (20, 100):
-        q = params_at_snr(make_params(trials=blocks * b, window=window), 20.0)
-        sim._count_errors(q, kind, None, point, 0, 1)      # fill the per-geometry caches
+        p = make_params(trials=blocks * b, window=window)
         tracemalloc.start()
         try:
-            sim._count_errors(q, kind, None, point, 0, blocks)
+            estimate_ber(p, kind, mode, 20.0, point)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -664,9 +696,9 @@ def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
 
 def test_pool_raises_the_serial_error():
     # the second cell overflows in each of its four blocks, first at trial 25
-    # of block 0, and each of two workers' chunks of two blocks raises at its
-    # own first bad trial: the pool raises the first chunk's error, the one a
-    # serial sweep raises. A floor below 1 overflows lift / floor while the
+    # of block 0. Two workers map them in two chunks of two blocks, each block
+    # raising at its own first bad trial, and pool.map raises in block order:
+    # block 0's error, the one a serial sweep raises. A floor below 1 overflows lift / floor while the
     # lift, which the message names, is still finite.
     p = small_params(trials=4 * sim._block_trials(small_params(), ChannelMode.REDRAW_PER_TRIAL),
                      noise_power=1e-6, tag_gain=3e152)
@@ -787,7 +819,7 @@ def test_window_of_finite_and_overflowing_sigma1_rows(monkeypatch):
         overflows.append(not np.isfinite(sigma1(q, ch.tag, ch.reflect)).all())
     assert overflows == [False, False, False, True, True, False]
     records, laws = kernel_laws(lambda: sweep(p, snrs, [p.window], kinds, FIXED, stream))
-    for overflow, (_, _, lam1) in zip(overflows, laws):
+    for overflow, (_, lam1) in zip(overflows, laws):
         assert np.isinf(lam1).all() if overflow else np.isfinite(lam1).all()
     assert records == [estimate_ber(q, kind, FIXED, snr, point) for q, point, snr, kind in cells]
     assert seen and all(seen)
