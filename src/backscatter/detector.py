@@ -50,8 +50,9 @@ class ThresholdKind(Enum):
 
 
 def _tap_energy(taps: np.ndarray) -> np.ndarray:
-    """``sum |taps|^2`` over the last axis: one realization's, or one per stacked row."""
-    return np.add.reduce(np.abs(taps) ** 2, axis=-1)
+    """``sum |taps|^2`` over a contiguous last axis, one per stacked row: a float view's dot."""
+    x = np.asarray(taps, dtype=complex).view(np.float64)
+    return np.einsum("...i,...i->...", x, x)
 
 
 def compute_scales(params: SystemParams, channels: ChannelSet) -> DetectionScales:

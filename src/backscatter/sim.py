@@ -24,12 +24,12 @@ block draws from its own SFC64 stream keyed (seed, point, 1, block): first
 its bits; then in redraw mode its bit-0 trials' tag energies, reflect energies
 and ``window`` exponentials each, and its bit-1 trials' tag and reflect taps
 and ``window`` normals each; in fixed mode each trial's ``window`` exponentials.
-It computes its thresholds and statistics on its own, so block sizes are
-part of the stream layout. A fixed channel realization comes from the PCG64
-stream (seed, point, 0). The block is the kernel's one unit: a point's error
-count is the sum of one map of the block kernel over its blocks, serial or over
-a pool in contiguous chunks, so every value is computed on the same arrays for
-any worker count.
+It computes its thresholds and statistics alone, so block sizes are part of the stream
+layout; in redraw mode it keeps each bit's trials in their own arrays from draw to count.
+A fixed channel realization comes from the PCG64 stream (seed, point, 0). The block is
+the kernel's one unit: a point's error count is the sum of one map of the block kernel
+over its blocks, serial or over a pool in contiguous chunks, so every value is computed
+on the same arrays for any worker count.
 """
 from __future__ import annotations
 
@@ -131,7 +131,7 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag_energy: np.ndarra
     """Each trial's genie threshold over the noise floor, from its taps' energies ``sum|taps|^2``.
 
     The ``detector`` forms on arrays: values and errors are the scalar path's,
-    bit for bit, the error that of the first bad trial.
+    bit for bit, the error that of the first bad element: the kernel retries in trial order.
     """
     with np.errstate(over="ignore", invalid="ignore"):      # the check names an overflow
         scales = energy_scales(params, tag_energy, reflect_energy)
@@ -142,8 +142,8 @@ def _block_trials(params: SystemParams, mode: ChannelMode) -> int:
     """Trials per block: BLOCK_BYTES over the per-trial bytes of the mode's kernel, 8 for
     each of a fixed trial's ``window`` exponentials, bit and statistic, and 16 for each of
     a redraw trial's ``3k + 2 reflect_order + 1 + 6 window`` complex words (``k = tag_order
-    + 1``, counted as bit 1), which hold its taps and ``u``, the tag's
-    ``(2k - 1)``-point DFT, ``H_r``, ``b``, ``z``, the lag spectra and ``F_L^H u``."""
+    + 1``, counted as bit 1): its taps, ``u``, the tag's ``(2k - 1)``-point DFT, ``F_L^H u``,
+    ``H_r``, ``b``, ``z``, ``conj(b)``, the lag spectra and its two tap energies."""
     w, k, r = params.window, params.tag_order + 1, params.reflect_order
     fixed = mode is ChannelMode.FIXED_REALIZATION
     return max(1, BLOCK_BYTES // (8 * (w + 2) if fixed else 16 * (3 * k + 2 * r + 1 + 6 * w)))
@@ -168,7 +168,8 @@ def _one_blas_thread(fn):
     """``fn`` with numpy's OpenBLAS on one thread, restored when ``fn`` returns or raises:
     a block's products and a window's ``eigvalsh`` are too small to gain from a second
     thread, which then spins. The count is process-wide. A count of 1 (a nested entry, a
-    forked pool worker) is left alone: setting it in a fork restarts OpenBLAS's threads."""
+    forked pool worker) is left alone: setting it in a fork restarts OpenBLAS's threads.
+    After this process forks, its next set restarts them too: the new one spins ~0.13 s."""
     @wraps(fn)
     def serial(*args, **kwargs):
         threads = _openblas_threads()
@@ -194,8 +195,8 @@ def _count_errors(params: SystemParams, kind: ThresholdKind, law: tuple[float, n
     weighted by its bit's eigenvalues, those of ``Sigma_0`` over ``window`` for bit 0,
     which depend on the geometry only. Without it a bit-0 trial takes that fixed bit-0
     law and its taps' energies, which are all its threshold reads, as two standard
-    gammas; a bit-1 trial draws its taps and adds its signal form to
-    ``Re(u^H Sigma_0 u)``. A statistic that is not finite decides 1.
+    gammas; a bit-1 trial draws its taps and adds its signal form to ``Re(u^H Sigma_0 u)``.
+    Each bit's trials keep their own arrays. A statistic that is not finite decides 1.
     """
     w, width, r = params.window, params.tag_order + 1, params.reflect_order
     mode = ChannelMode.REDRAW_PER_TRIAL if law is None else ChannelMode.FIXED_REALIZATION
@@ -204,26 +205,30 @@ def _count_errors(params: SystemParams, kind: ThresholdKind, law: tuple[float, n
     lam0 = sigma0_eigenvalues(params) / w
     rng = np.random.Generator(np.random.SFC64(substream(point, 1, block)))
     bits = rng.integers(0, 2, n) == 1
-    if law is None:
-        zeros, m = ~bits, int(np.count_nonzero(bits))
-        energy = np.empty((2, n))
-        energy[0, zeros] = rng.standard_gamma(width, n - m)
-        energy[1, zeros] = rng.standard_gamma(r + 1, n - m)
-        stat = np.empty(n)
-        stat[zeros] = rng.standard_exponential((n - m, w)) @ lam0
-        taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
-        u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
-        tag, reflect = taps[:, :width], taps[:, width:]
-        energy[0, bits], energy[1, bits] = _tap_energy(tag), _tap_energy(reflect)
-        threshold = _thresholds(params, kind, energy[0], energy[1])
-        with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
-            stat[bits] = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
-    else:
+    if law is not None:
         threshold, lam1 = law
         e = rng.standard_exponential((n, w))
         with np.errstate(over="ignore", invalid="ignore"):      # see estimate_ber
             stat = np.where(bits, e @ lam1, e @ lam0)
-    return int(np.count_nonzero(~(stat <= threshold) != bits))
+        return int(np.count_nonzero(~(stat <= threshold) != bits))
+    m = int(np.count_nonzero(bits))
+    tag_energy, reflect_energy = rng.standard_gamma(width, n - m), rng.standard_gamma(r + 1, n - m)
+    stat0 = rng.standard_exponential((n - m, w)) @ lam0
+    taps = complex_normal(rng, m * (width + r + 1), 1.0).reshape(m, width + r + 1)
+    u = complex_normal(rng, m * w, 1.0 / w).reshape(m, w)
+    tag, reflect = taps[:, :width], taps[:, width:]
+    tag_energy = np.concatenate([tag_energy, _tap_energy(tag)])
+    reflect_energy = np.concatenate([reflect_energy, _tap_energy(reflect)])
+    try:
+        threshold = _thresholds(params, kind, tag_energy, reflect_energy)
+    except ValueError:      # raise the first bad trial's error: the energies in trial order
+        order = np.argsort(np.argsort(bits, kind="stable"))
+        _thresholds(params, kind, tag_energy[order], reflect_energy[order])
+        raise
+    with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
+        stat1 = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
+    return int(np.count_nonzero(~(stat0 <= threshold[:n - m]))
+               + np.count_nonzero(stat1 <= threshold[n - m:]))
 
 
 @_one_blas_thread

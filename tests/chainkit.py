@@ -9,7 +9,8 @@ from backscatter import (FrameOrigin, SymbolFrame, cancel_interference, derive_p
                          fold, gen_source_symbol, substream, synth_reader_rx, tag_gate,
                          tag_input)
 from backscatter.core import complex_normal
-from backscatter.detector import _tap_energy
+from backscatter.detector import _tap_energy, energy_scales, threshold_for
+from backscatter.exact import sigma0_eigenvalues, sigma1
 
 REFERENCE = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_order=8,
                  tag_gain=0.5, noise_power=1.0, source_power=2.0, window=8, trials=100)
@@ -118,3 +119,22 @@ def redraw_trials(q, point, block, n):
         else:
             trials.append((0, *next(zeros)))
     return trials
+
+
+def replayed_errors(q, kind, point, block, n):
+    """Errors of block ``block`` of ``n`` trials of a redraw point, replayed trial by trial
+    on the scalar path (:func:`redraw_trials`): a bit-0 trial errs when ``E . lambda_0``,
+    the eigenvalues of Sigma_0 over window, exceeds the threshold of its two tap energies
+    over the noise floor, and a bit-1 trial when ``Re(u^H Sigma_1 u)`` does not.
+    """
+    lam0 = sigma0_eigenvalues(q) / q.window
+    errors = 0
+    for bit, tag_energy, reflect_energy, x in redraw_trials(q, point, block, n):
+        scales = energy_scales(q, tag_energy, reflect_energy)
+        th = threshold_for(kind, scales, q.window) / scales.noise_floor
+        if bit:
+            tag, reflect, u = x
+            errors += np.vdot(u, sigma1(q, tag, reflect) @ u).real <= th
+        else:
+            errors += np.dot(x, lam0) > th
+    return int(errors)

@@ -9,6 +9,8 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, DetectionSca
                          draw_channels, equiprobable_threshold, equiprobable_threshold_exact,
                          estimate_ber, optimal_threshold, optimal_threshold_simplified,
                          params_at_snr, qfunc, qfunc_approx, threshold_for)
+from backscatter.core import complex_normal
+from backscatter.detector import _tap_energy
 from chainkit import make_params
 
 A, B = 0.416, 0.717
@@ -72,6 +74,34 @@ def test_lift_single_tap_arithmetic():
     ch = ChannelSet(direct=np.ones(1, complex), tag=np.ones(1, complex),
                     reflect=np.ones(1, complex))
     assert compute_scales(p, ch).signal_lift == pytest.approx(240.0, abs=1e-12)
+
+
+# ------------------------------------------------------------- tap energies
+
+@pytest.mark.parametrize("tag_order", [0, 4, 8])
+def test_tap_energy_is_the_sum_of_squared_magnitudes(tag_order):
+    # a few ulps from sum |taps|^2 through hypot, on one realization's 1-D taps and on the
+    # redraw kernel's stacked rows, strided views into one draw per trial, of which
+    # each row gives bit for bit what it gives alone; an empty stack gives no energies,
+    # and float and int taps are taken as complex
+    p = make_params(tag_order=tag_order)
+    rng = np.random.default_rng(tag_order)
+    ch = draw_channels(p, rng)
+    width = tag_order + 1
+    taps = complex_normal(rng, 50 * (width + p.reflect_order + 1), 1.0).reshape(50, -1)
+    for stack in (ch.tag, ch.reflect, taps[:, :width], taps[:, width:]):
+        energy = _tap_energy(stack)
+        np.testing.assert_array_max_ulp(energy, np.add.reduce(np.abs(stack) ** 2, axis=-1),
+                                        maxulp=4)
+        assert np.atleast_1d(energy).tolist() == [
+            float(_tap_energy(row)) for row in np.atleast_2d(stack)]
+    assert _tap_energy(taps[:0, :width]).shape == (0,)
+    assert _tap_energy(np.array([3.0, 4.0])) == _tap_energy(np.array([3, 4])) == 25.0
+
+
+def test_tap_energy_needs_a_contiguous_last_axis():
+    with pytest.raises(ValueError, match="contiguous"):
+        _tap_energy(np.ones((3, 8), complex)[:, ::2])
 
 
 # ------------------------------------------------------------- tail functions

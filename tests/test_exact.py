@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backscatter import (ChannelMode, ThresholdKind, draw_channels, estimate_ber, exact,
-                         params_at_snr, sim, threshold_for)
+                         params_at_snr, sim)
 from backscatter.core import complex_normal
-from backscatter.detector import energy_scales
 from chainkit import (LONG_TAG, SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains,
-                      reader_spectrum, redraw_trials)
+                      reader_spectrum, redraw_trials, replayed_errors)
 
 GEOMETRIES = {"reference": {}, "short": SHORT, "w10": dict(window=10),
               "w16-orders-3-5": dict(window=16, tag_order=3, reflect_order=5),
@@ -215,16 +214,39 @@ def test_sigma1_of_no_realization_is_empty():
     assert exact._sigma0_form(p, u).shape == (0,)
     kind, point = ThresholdKind.EQUIPROBABLE, np.random.SeedSequence(1476)
     q = params_at_snr(p, 0.0)
-    trials = redraw_trials(q, point, 0, q.trials)
-    assert [bit for bit, *_ in trials] == [0] * q.trials
-    lam0 = exact.sigma0_eigenvalues(q) / q.window
-    errors = 0
-    for _, tag_energy, reflect_energy, e in trials:
-        scales = energy_scales(q, tag_energy, reflect_energy)
-        errors += np.dot(e, lam0) > threshold_for(kind, scales, q.window) / scales.noise_floor
+    assert [bit for bit, *_ in redraw_trials(q, point, 0, q.trials)] == [0] * q.trials
+    errors = replayed_errors(q, kind, point, 0, q.trials)
     assert errors > 0
     rec = estimate_ber(p, kind, ChannelMode.REDRAW_PER_TRIAL, 0.0, point)
     assert rec.empirical_ber == errors / q.trials
+
+
+@pytest.mark.parametrize("kind", list(ThresholdKind))
+def test_redraw_block_of_only_bit_1_trials(kind):
+    # a redraw block whose bits are all 1 draws no gammas or exponentials: its bit-0
+    # energies and statistics are empty, and its errors are its replay's bit-1 misses
+    p = make_params(**SHORT, trials=5)
+    point = np.random.SeedSequence(70)
+    q = params_at_snr(p, 0.0)
+    assert [bit for bit, *_ in redraw_trials(q, point, 0, q.trials)] == [1] * q.trials
+    errors = replayed_errors(q, kind, point, 0, q.trials)
+    assert errors > 0
+    rec = estimate_ber(p, kind, ChannelMode.REDRAW_PER_TRIAL, 0.0, point)
+    assert rec.empirical_ber == errors / q.trials
+
+
+@pytest.mark.parametrize("kind", list(ThresholdKind))
+@pytest.mark.parametrize("seed,bit", [(0, 0), (1, 1)])
+def test_one_trial_redraw_block(seed, bit, kind):
+    # the last block of a point of one block and one trial holds one trial, here a bit-0
+    # false alarm or a bit-1 miss: the block's count is its replay's, 1
+    mode = ChannelMode.REDRAW_PER_TRIAL
+    b = sim._block_trials(make_params(**SHORT), mode)
+    q = params_at_snr(make_params(**SHORT, trials=b + 1), -5.0)
+    point = np.random.SeedSequence(seed)
+    assert [trial[0] for trial in redraw_trials(q, point, 1, 1)] == [bit]
+    assert replayed_errors(q, kind, point, 1, 1) == 1
+    assert sim._count_errors(q, kind, None, point, 1) == 1
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])

@@ -694,6 +694,29 @@ def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     assert type(got.value) is error and str(got.value) == str(want)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", list(ThresholdKind))
+def test_redraw_block_raises_its_first_bad_trial(kind, workers):
+    # the kernel takes a block's thresholds on its bit-0 trials' energies, then its bit-1
+    # trials'. At this point block 0's first bad trial is a bit-1 trial, and a later bad
+    # bit-0 trial has another lift, so the energies in that order raise another message
+    # than the scalar path on the energies in trial order, which the point must raise,
+    # serial and from a pool, where block 1 fails too and pool.map raises in block order
+    mode = ChannelMode.REDRAW_PER_TRIAL
+    b = sim._block_trials(small_params(), mode)
+    q = params_at_snr(small_params(trials=2 * b, noise_power=1e-6, tag_gain=3e152), 20.0)
+    point = np.random.SeedSequence(0)
+    trials = redraw_trials(q, point, 0, b)
+    want = scalar_error(q, kind, [(tag, reflect) for _, tag, reflect, _ in trials])
+    drawn = [(tag, reflect) for _, tag, reflect, _ in sorted(trials, key=lambda t: t[0])]
+    assert type(want) is ValueError and str(scalar_error(q, kind, drawn)) != str(want)
+    assert next(bit for bit, tag, reflect, _ in trials
+                if scalar_error(q, kind, [(tag, reflect)])) == 1
+    with pytest.raises(ValueError) as got:
+        estimate_ber(q, kind, mode, 20.0, point, workers=workers)
+    assert type(got.value) is ValueError and str(got.value) == str(want)
+
+
 def test_pool_raises_the_serial_error():
     # the second cell overflows in each of its four blocks, first at trial 25
     # of block 0. Two workers map them in two chunks of two blocks, each block
