@@ -12,7 +12,6 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -126,21 +125,28 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-@lru_cache(maxsize=1)
-def _build_argparser() -> argparse.ArgumentParser:
-    """The flag parser, built once per process; parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(
-        prog="backscatter-sim",
-        description="Monte Carlo BER sweeps for a CP-gated ambient backscatter link.")
-    ap.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    ap.add_argument("--snr", metavar="START:STOP:STEP", help="SNR axis in dB, stop inclusive; or one value")
-    ap.add_argument("--w", metavar="LIST", help="comma list of averaging-window sizes")
-    ap.add_argument("--threshold", choices=sorted(_KIND_CHOICES), help="threshold kind(s)")
-    ap.add_argument("--channel-mode", choices=sorted(_MODE_CHOICES), help="fixed realization or redraw per trial")
-    ap.add_argument("--trials", metavar="N", help="Monte Carlo trials per point")
-    ap.add_argument("--seed", metavar="N", help="RNG seed (fallback: BACKSCATTER_SEED)")
-    ap.add_argument("--out", metavar="PATH", help="output CSV path")
-    return ap
+_PARSER = argparse.ArgumentParser(
+    prog="backscatter-sim",
+    description="Monte Carlo BER sweeps for a CP-gated ambient backscatter link.")
+_FLAGS = {action.option_strings[0] for action in (       # each takes one value
+    _PARSER.add_argument("--config", metavar="PATH", help="flat key=value config file"),
+    _PARSER.add_argument("--snr", metavar="START:STOP:STEP", help="SNR axis in dB, stop inclusive; or one value"),
+    _PARSER.add_argument("--w", metavar="LIST", help="comma list of averaging-window sizes"),
+    _PARSER.add_argument("--threshold", choices=sorted(_KIND_CHOICES), help="threshold kind(s)"),
+    _PARSER.add_argument("--channel-mode", choices=sorted(_MODE_CHOICES), help="fixed realization or redraw per trial"),
+    _PARSER.add_argument("--trials", metavar="N", help="Monte Carlo trials per point"),
+    _PARSER.add_argument("--seed", metavar="N", help="RNG seed (fallback: BACKSCATTER_SEED)"),
+    _PARSER.add_argument("--out", metavar="PATH", help="output CSV path"))}
+
+
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with each flag joined to its value, as ``--snr=-10:20:10``: argparse takes
+    a separate value that starts with ``-`` and is not a plain number for a flag."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _FLAGS else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -150,7 +156,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     only), config file, flags. This only parses each value; :func:`run` checks
     the parameter set.
     """
-    args = vars(_build_argparser().parse_args(argv))
+    args = vars(_PARSER.parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv)))
     cfg = RunConfig()
     env_seed = os.environ.get("BACKSCATTER_SEED")
     if env_seed is not None:

@@ -11,7 +11,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -36,8 +35,7 @@ class SystemParams:
     tag-to-reader paths. ``max_order`` is their maximum and marks the first
     prefix sample free of inter-path memory.
 
-    Derived lengths (computed on first use and kept, since the fields are
-    frozen; :func:`dataclasses.replace` builds a fresh instance):
+    Derived lengths:
       cancel_len  samples that survive the prefix/body subtraction,
                   ``cp_len - max_order``
       block_len   samples kept after folding the convolution tail back onto
@@ -55,15 +53,15 @@ class SystemParams:
     window: int
     trials: int
 
-    @cached_property
+    @property
     def max_order(self) -> int:
         return max(self.direct_order, self.tag_order, self.reflect_order)
 
-    @cached_property
+    @property
     def cancel_len(self) -> int:
         return self.cp_len - self.max_order
 
-    @cached_property
+    @property
     def block_len(self) -> int:
         return self.cancel_len - self.reflect_order
 

@@ -75,17 +75,19 @@ def response(params: SystemParams, channels: ChannelSet) -> np.ndarray:
 
 def sigma0(params: SystemParams) -> np.ndarray:
     """``Sigma_0 / floor = G G^H / cancel_len``, read-only; it depends on the geometry only."""
-    return _sigma0(params.block_len, params.reflect_order, params.window)
+    return _sigma0(params.block_len, params.reflect_order, params.window)[0]
 
 
 @lru_cache(maxsize=8)
-def _sigma0(block_len: int, reflect_order: int, window: int) -> np.ndarray:
+def _sigma0(block_len: int, reflect_order: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     # F_W F_W^H is exactly block_len I; only the folded samples' part is multiplied out
     f = _dft_rows(block_len, window)[:, :reflect_order]
     s = (block_len * np.eye(window) + np.einsum("pi,qi->pq", f, f.conj())) / (
         block_len + reflect_order)
+    lam = np.linalg.eigvalsh(s)
     s.setflags(write=False)
-    return s
+    lam.setflags(write=False)
+    return s, lam
 
 
 def _sigma0_form(params: SystemParams, u: np.ndarray) -> np.ndarray:
@@ -102,14 +104,7 @@ def _sigma0_form(params: SystemParams, u: np.ndarray) -> np.ndarray:
 
 def sigma0_eigenvalues(params: SystemParams) -> np.ndarray:
     """The eigenvalues of :func:`sigma0`, ascending and read-only; cached per geometry."""
-    return _sigma0_eigenvalues(params.block_len, params.reflect_order, params.window)
-
-
-@lru_cache(maxsize=8)
-def _sigma0_eigenvalues(block_len: int, reflect_order: int, window: int) -> np.ndarray:
-    lam = np.linalg.eigvalsh(_sigma0(block_len, reflect_order, window))
-    lam.setflags(write=False)
-    return lam
+    return _sigma0(params.block_len, params.reflect_order, params.window)[1]
 
 
 @lru_cache(maxsize=8)

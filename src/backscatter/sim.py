@@ -225,8 +225,7 @@ def _count_errors(params: SystemParams, kind: ThresholdKind, law: tuple[float, n
         order = np.argsort(np.argsort(bits, kind="stable"))
         _thresholds(params, kind, tag_energy[order], reflect_energy[order])
         raise
-    with np.errstate(over="ignore", invalid="ignore"):      # see sigma1
-        stat1 = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
+    stat1 = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
     return int(np.count_nonzero(~(stat0 <= threshold[:n - m]))
                + np.count_nonzero(stat1 <= threshold[n - m:]))
 
@@ -236,16 +235,17 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
                  snr_db: float, stream: np.random.SeedSequence, *, workers: int = 1) -> BerRecord:
     """Empirical BER at one operating point, bits drawn equiprobably.
 
-    Fixed mode draws one channel realization from the PCG64 stream (point, 0),
-    takes the eigenvalues of its ``Sigma_1`` over ``window``, all infinite when
-    ``Sigma_1`` is not finite, so that every bit-1 trial decides 1, computes the
-    threshold once and reports the matching Gaussian-model prediction. Redraw mode draws
-    every trial's tap energies, and a bit-1 trial's taps, recomputes the genie
-    threshold for every trial and the bit-1 form for every bit-1 trial, and
-    reports no prediction. Scales without a lift (zero tag gain) raise
-    :class:`DegenerateScales`, and overflowing scales raise ``ValueError``,
-    before the first trial. While it runs, numpy's OpenBLAS runs any Python thread's
-    products on one thread (:func:`_one_blas_thread`).
+    Fixed mode draws one channel realization from the PCG64 stream (point, 0), takes the
+    eigenvalues of its ``Sigma_1`` over ``window``, all infinite when ``Sigma_1`` is not
+    finite, so that every bit-1 trial decides 1, computes the threshold once and reports
+    the matching Gaussian-model prediction. Redraw mode draws every trial's tap energies,
+    and a bit-1 trial's taps, recomputes the genie threshold for every trial and the bit-1
+    form for every bit-1 trial, and reports no prediction. Scales without a lift (zero tag
+    gain) raise :class:`DegenerateScales`, and overflowing scales raise ``ValueError``: in
+    fixed mode before the first trial; in redraw mode from the first block that holds a
+    bad trial, after that block's draws, as its first bad trial's error (with ``workers >
+    1`` in a pool worker, and ``pool.map`` re-raises the first in block order). While it
+    runs, numpy's OpenBLAS runs any thread's products on one thread (:func:`_one_blas_thread`).
     """
     p = params_at_snr(params, snr_db)
     law: tuple[float, np.ndarray] | None = None

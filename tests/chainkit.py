@@ -18,10 +18,10 @@ REFERENCE = dict(cp_len=256, eff_len=1024, direct_order=8, tag_order=8, reflect_
 SHORT = dict(cp_len=64, eff_len=64, direct_order=4, tag_order=4, reflect_order=4, window=4)
 # tag_order 12 > block_len 6: lags d >= block_len never reach the window.
 LONG_TAG = dict(cp_len=20, eff_len=64, direct_order=0, tag_order=12, reflect_order=2, window=4)
-# Geometries and windows over which a stack of realizations must give each row what the
-# row gets alone, and a fixed sweep each cell what the cell's point gets: both ends of
-# the reference and short geometries' window ranges, and W=10 off a power of two.
-STACKED_WINDOWS = {"reference": ({}, (1, 8, 10, 64)), "short": (SHORT, (2, 16, 56)),
+# Geometries, each with windows at both ends of its range (and W=10 off a power of two),
+# over which each row of a stack's bit-1 form must be that of the row's own Sigma_1, and
+# a fixed sweep must give each cell what the cell's point gets alone.
+WINDOW_RANGES = {"reference": ({}, (1, 8, 10, 64)), "short": (SHORT, (2, 16, 56)),
                    "long-tag": (LONG_TAG, (1, 4, 6))}
 
 

@@ -42,6 +42,7 @@ def test_empty_invocation_yields_reference_defaults(monkeypatch):
 def test_snr_axis_forms():
     assert parse_config(["--snr", "15:25:5"]).snr_values == [15.0, 20.0, 25.0]
     assert parse_config(["--snr", "17.5"]).snr_values == [17.5]
+    assert parse_config(["--snr", "-1e1"]).snr_values == [-10.0]     # argparse takes it for a flag
     # the point limit is inclusive
     assert MAX_SNR_POINTS == 1000
     assert len(parse_config(["--snr", "0:999:1"]).snr_values) == 1000
@@ -105,6 +106,10 @@ def test_missing_config_file_exits_2(capsys):
     (["--snr", "0:30:1e-9"], None, "snr"),          # too many SNR points
     (["--seed", "-1"], None, "seed"),               # seeds the stream, not derive_params
     ([], "seed = -1", "seed"),
+    (["--snr", "1:2"], None, "snr: cannot use '1:2'"),         # two of START:STOP:STEP
+    (["--w", ","], None, "w: cannot use ','"),                  # an empty window list
+    ([], "threshold = foo", "threshold: cannot use 'foo'"),
+    ([], "threshold both", "run.cfg:1: expected key=value"),   # a line without '='
 ])
 def test_bad_value_exits_2_naming_field(tmp_path, capsys, flags, config_line, name):
     out = tmp_path / "x.csv"
@@ -226,6 +231,31 @@ def test_unwritable_output_exits_1_without_file(tmp_path, capsys):
     assert run(cfg) == 1
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+def test_output_onto_a_directory_exits_1_and_removes_its_temp_file(tmp_path, capsys):
+    # the CSV is written to a temp file beside --out, whose rename onto a directory fails
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert run(small_cfg(tmp_path, out_path=str(out))) == 1
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_negative_snr_axis_in_every_spelling(tmp_path):
+    # a flag's value reaches its parser whatever it starts with: a separate --snr value
+    # that starts with '-' writes the CSV of --snr=VALUE and of the config line
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("snr = -10:20:10\n")
+    csvs = []
+    for i, axis in enumerate([["--snr", "-10:20:10"], ["--snr=-10:20:10"],
+                              ["--config", str(cfile)]]):
+        out = tmp_path / f"{i}.csv"
+        assert run_cli([*axis, "--w", "4", "--trials", "200", "--seed", "5",
+                        "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert [row[0] for row in read_rows(out)] == ["-10", "0", "10", "20"]
 
 
 def run_under_umask(cfg, umask):

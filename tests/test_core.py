@@ -29,7 +29,7 @@ def test_default_geometry():
     ("cp_len", 200), ("direct_order", 12), ("tag_order", 11), ("reflect_order", 3)])
 def test_derived_lengths_follow_replace(name, value):
     p = derive_params(base_config())
-    assert (p.max_order, p.cancel_len, p.block_len) == (8, 248, 240)   # cached before the replace
+    assert (p.max_order, p.cancel_len, p.block_len) == (8, 248, 240)   # read before the replace
     q = dataclasses.replace(p, **{name: value})
     max_order = max(q.direct_order, q.tag_order, q.reflect_order)
     assert q.max_order == max_order
@@ -68,6 +68,11 @@ def test_negative_block_rejected():
     ("eff_len", 100),         # shorter than the prefix
     ("trials", 0),
     ("direct_order", -2),
+    ("cp_len", 0),
+    ("source_power", "loud"),   # not a number
+    ("source_power", None),
+    ("tag_gain", "half"),       # not a complex number
+    ("tag_gain", [0.5]),
 ])
 def test_invalid_fields_rejected_by_name(field, value):
     with pytest.raises(InvalidConfig) as exc:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from backscatter import (ChannelMode, ThresholdKind, draw_channels, estimate_ber, exact,
                          params_at_snr, sim)
 from backscatter.core import complex_normal
-from chainkit import (LONG_TAG, SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains,
+from chainkit import (LONG_TAG, SHORT, WINDOW_RANGES, chain, make_params, probe_bin_gains,
                       reader_spectrum, redraw_trials, replayed_errors)
 
 GEOMETRIES = {"reference": {}, "short": SHORT, "w10": dict(window=10),
@@ -122,26 +122,14 @@ def test_signal_form_is_the_probed_bit1_excess(over):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_signal_form_over_several_row_chunks_is_the_one_row_calls():
-    # 200 bit-1 rows at W=32, one C b product: each row's form is the one it gets alone
-    p = make_params(window=32)
-    m, width = 200, p.tag_order + 1
-    rng = np.random.default_rng(56)
-    taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
-    u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
-    tag, reflect = taps[:, :width], taps[:, width:]
-    got = exact.signal_form(p, tag, reflect, u)
-    want = [exact.signal_form(p, t[None], r[None], x[None])[0]
-            for t, r, x in zip(tag, reflect, u)]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_signal_form_over_several_periodogram_chunks_is_the_one_row_calls():
-    # 2000 bit-1 rows at the reference W=8, one pair of the periodogram's real products:
-    # each row's form is the one it gets alone
-    p = make_params()
-    m, width = 2000, p.tag_order + 1
-    rng = np.random.default_rng(57)
+@pytest.mark.parametrize("window, m, seed", [(32, 200, 56), (8, 2000, 57)],
+                         ids=["w32-200-rows", "w8-2000-rows"])
+def test_signal_form_rows_are_independent(window, m, seed):
+    # m bit-1 rows in one call, so one C b product and one pair of the periodogram's real
+    # products: each row's form is the one it gets alone
+    p = make_params(window=window)
+    width = p.tag_order + 1
+    rng = np.random.default_rng(seed)
     taps = complex_normal(rng, m * (width + p.reflect_order + 1), 1.0).reshape(m, -1)
     u = complex_normal(rng, m * p.window, 1.0 / p.window).reshape(m, -1)
     tag, reflect = taps[:, :width], taps[:, width:]
@@ -250,7 +238,7 @@ def test_one_trial_redraw_block(seed, bit, kind):
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
-@pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
+@pytest.mark.parametrize("over, windows", list(WINDOW_RANGES.values()), ids=list(WINDOW_RANGES))
 def test_stacked_sigma1_rows_are_the_one_row_calls(over, windows, m):
     # sigma1 takes one tag's lag spectra and signal_form a stack's, from the same helper:
     # each row of the stack's bit-1 form is Re(u^H (Sigma_1 - Sigma_0) u) of its own

@@ -7,8 +7,8 @@ diagonalizes it. Both facts are checked against brute-force oracles.
 import numpy as np
 import pytest
 
-from backscatter import (cancel_interference, dft, draw_channels, energy_statistics, fold,
-                         tag_gate)
+from backscatter import (FrameOrigin, SymbolFrame, cancel_interference, dft, draw_channels,
+                         energy_statistics, fold, tag_gate)
 from chainkit import (SHORT, chain, circulant, make_params, noise_rx, padded_taps,
                       reader_spectrum)
 
@@ -66,6 +66,14 @@ def test_fold_is_identity_without_reflect_memory():
     p = make_params(reflect_order=0)
     z = np.arange(p.cancel_len, dtype=complex)
     assert np.array_equal(fold(z, p), z)
+
+
+@pytest.mark.parametrize("origin", [FrameOrigin.SOURCE, FrameOrigin.TAG_INPUT])
+def test_cancellation_takes_only_a_reader_frame(origin):
+    p = make_params()
+    frame = SymbolFrame(np.zeros(p.cp_len + p.eff_len, complex), origin)
+    with pytest.raises(ValueError, match="expected a reader frame"):
+        cancel_interference(frame, p)
 
 
 def test_fold_length_and_shape():

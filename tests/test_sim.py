@@ -26,7 +26,7 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
 from backscatter.core import complex_normal
 from backscatter.detector import _tap_energy, energy_scales
 from backscatter.exact import sigma0_eigenvalues, sigma1, signal_form
-from chainkit import (SHORT, STACKED_WINDOWS, chain, make_params, probe_bin_gains,
+from chainkit import (SHORT, WINDOW_RANGES, chain, make_params, probe_bin_gains,
                       reader_spectrum, redraw_trials)
 
 small_params = partial(make_params, **SHORT)
@@ -800,7 +800,7 @@ def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch):
     assert calls == draws == []
 
 
-@pytest.mark.parametrize("over, windows", list(STACKED_WINDOWS.values()), ids=list(STACKED_WINDOWS))
+@pytest.mark.parametrize("over, windows", list(WINDOW_RANGES.values()), ids=list(WINDOW_RANGES))
 def test_fixed_sweep_equals_the_one_cell_path(over, windows):
     # a fixed sweep's cell is the estimate_ber call for the cell alone on the cell's
     # substream, bit for bit, for both threshold kinds, and its kernel law is that of its

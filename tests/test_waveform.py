@@ -165,6 +165,22 @@ def test_tag_input_requires_source_frame():
         tag_input(tagged, np.array([1.0 + 0j]))
 
 
+def test_reader_synthesis_and_legacy_window_take_only_their_frames():
+    p = make_params()
+    rng = np.random.default_rng(6)
+    src = gen_source_symbol(p, rng)
+    ch = draw_channels(p, rng)
+    tagged = tag_input(src, ch.tag)
+    gate = tag_gate(p, 1)
+    with pytest.raises(ValueError, match="source frame and a tag-input frame"):
+        synth_reader_rx(tagged, tagged, gate, ch, p)      # the tag input as the source
+    with pytest.raises(ValueError, match="source frame and a tag-input frame"):
+        synth_reader_rx(src, src, gate, ch, p)            # the source as the tag input
+    for frame in (src, tagged):
+        with pytest.raises(ValueError, match="expected a reader frame"):
+            legacy_window(frame, p)
+
+
 # ---------------------------------------------------------------- reader rx
 
 def unit_channels(p):
