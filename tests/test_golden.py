@@ -17,11 +17,13 @@ from chainkit import SHORT, make_params
 GOLDEN = Path(__file__).parent / "golden"
 LAYOUT = 8
 
-# CI's fixed and W=64 redraw commands, and a redraw grid over both ends of the windows
+# CI's fixed and W=64 redraw commands, a redraw grid over both ends of the windows, and
+# the W=64 command at -10 dB, where about a sixth of its trials err (none do at 20 dB)
 CLI_RECORDS = {
     "fixed-ci": "--snr 15:24:3 --w 8,10 --threshold both --channel-mode fixed --trials 30000",
     "redraw-grid": "--snr 0:30:10 --w 2,4,8,16 --threshold both --channel-mode redraw --trials 3000",
     "redraw-w64": "--snr 20 --w 64 --threshold both --channel-mode redraw --trials 500",
+    "redraw-w64-low": "--snr -10 --w 64 --threshold both --channel-mode redraw --trials 500",
 }
 RECORDS = [*CLI_RECORDS, "fixed-short-2w"]
 
