@@ -125,8 +125,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_PARSER = argparse.ArgumentParser(
-    prog="backscatter-sim",
+_PARSER = argparse.ArgumentParser(      # full names only: _join_flag_values knows no others
+    prog="backscatter-sim", allow_abbrev=False,
     description="Monte Carlo BER sweeps for a CP-gated ambient backscatter link.")
 _FLAGS = {action.option_strings[0] for action in (       # each takes one value
     _PARSER.add_argument("--config", metavar="PATH", help="flat key=value config file"),

@@ -168,20 +168,12 @@ def params_to_map(params: SystemParams) -> dict[str, object]:
     return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
-def complex_normal(rng: np.random.Generator, n: int, power: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """n i.i.d. circularly-symmetric complex Gaussians of the given power.
-
-    Real and imaginary parts are interleaved draws, each of variance
-    ``power / 2``. With ``out`` (a contiguous complex128 array of length
-    ``n``) the draws are written into it and it is returned.
-    """
-    if out is None:
-        out = np.empty(n, dtype=np.complex128)
-    parts = out.view(np.float64)
-    rng.standard_normal(out=parts)
+def complex_normal(rng: np.random.Generator, n: int, power: float) -> np.ndarray:
+    """n i.i.d. circularly-symmetric complex Gaussians of the given power: a complex view of
+    ``2 n`` interleaved real and imaginary draws, each of variance ``power / 2``."""
+    parts = rng.standard_normal(2 * n)
     parts *= math.sqrt(power / 2.0)
-    return out
+    return parts.view(np.complex128)
 
 
 def draw_channels(params: SystemParams, rng: np.random.Generator) -> ChannelSet:

@@ -130,8 +130,8 @@ def _thresholds(params: SystemParams, kind: ThresholdKind, tag_energy: np.ndarra
                 reflect_energy: np.ndarray) -> np.ndarray:
     """Each trial's genie threshold over the noise floor, from its taps' energies ``sum|taps|^2``.
 
-    The ``detector`` forms on arrays: values and errors are the scalar path's,
-    bit for bit, the error that of the first bad element: the kernel retries in trial order.
+    The ``detector`` forms on arrays: values and errors are the scalar path's, bit for
+    bit, the error that of the first bad element, so a block's in draw order.
     """
     with np.errstate(over="ignore", invalid="ignore"):      # the check names an overflow
         scales = energy_scales(params, tag_energy, reflect_energy)
@@ -219,12 +219,7 @@ def _count_errors(params: SystemParams, kind: ThresholdKind, law: tuple[float, n
     tag, reflect = taps[:, :width], taps[:, width:]
     tag_energy = np.concatenate([tag_energy, _tap_energy(tag)])
     reflect_energy = np.concatenate([reflect_energy, _tap_energy(reflect)])
-    try:
-        threshold = _thresholds(params, kind, tag_energy, reflect_energy)
-    except ValueError:      # raise the first bad trial's error: the energies in trial order
-        order = np.argsort(np.argsort(bits, kind="stable"))
-        _thresholds(params, kind, tag_energy[order], reflect_energy[order])
-        raise
+    threshold = _thresholds(params, kind, tag_energy, reflect_energy)
     stat1 = _sigma0_form(params, u) + signal_form(params, tag, reflect, u)
     return int(np.count_nonzero(~(stat0 <= threshold[:n - m]))
                + np.count_nonzero(stat1 <= threshold[n - m:]))
@@ -243,9 +238,10 @@ def estimate_ber(params: SystemParams, kind: ThresholdKind, mode: ChannelMode,
     form for every bit-1 trial, and reports no prediction. Scales without a lift (zero tag
     gain) raise :class:`DegenerateScales`, and overflowing scales raise ``ValueError``: in
     fixed mode before the first trial; in redraw mode from the first block that holds a
-    bad trial, after that block's draws, as its first bad trial's error (with ``workers >
-    1`` in a pool worker, and ``pool.map`` re-raises the first in block order). While it
-    runs, numpy's OpenBLAS runs any thread's products on one thread (:func:`_one_blas_thread`).
+    bad trial, after that block's draws, as the error of its first bad trial in draw order,
+    its bit-0 trials' then its bit-1 trials' (with ``workers > 1`` in a pool worker, and
+    ``pool.map`` re-raises the first in block order). While it runs, numpy's OpenBLAS runs
+    any thread's products on one thread (:func:`_one_blas_thread`).
     """
     p = params_at_snr(params, snr_db)
     law: tuple[float, np.ndarray] | None = None

@@ -62,11 +62,9 @@ def gen_source_symbol(params: SystemParams, rng: np.random.Generator) -> SymbolF
     downstream, so no transform is involved. The prefix copies the last
     ``cp_len`` body samples bit for bit.
     """
-    n, c = params.eff_len, params.cp_len
-    frame = np.empty(c + n, dtype=complex)
-    complex_normal(rng, n, params.source_power, out=frame[c:])
-    frame[:c] = frame[n:]
-    return SymbolFrame(samples=frame, origin=FrameOrigin.SOURCE)
+    body = complex_normal(rng, params.eff_len, params.source_power)
+    return SymbolFrame(samples=np.concatenate([body[-params.cp_len:], body]),
+                       origin=FrameOrigin.SOURCE)
 
 
 def tag_gate(params: SystemParams, bit: int) -> GateSequence:

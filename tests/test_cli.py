@@ -1,6 +1,7 @@
 """Command-line surface: config precedence, CSV contract, exit codes."""
 import math
 import os
+import re
 import stat
 
 import pytest
@@ -256,6 +257,22 @@ def test_negative_snr_axis_in_every_spelling(tmp_path):
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1] == csvs[2]
     assert [row[0] for row in read_rows(out)] == ["-10", "0", "10", "20"]
+
+
+@pytest.mark.parametrize("value", ["10", "-10:20:10"])
+def test_abbreviated_flag_exits_2_naming_it(capsys, value):
+    # flags take their full names only, so every flag argparse accepts is one the CLI
+    # joins to its value: an abbreviation is refused whatever its value starts with
+    assert run_cli(["--sn", value]) == 2
+    assert "--sn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_0_naming_every_flag(capsys, flag):
+    assert run_cli([flag]) == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == {
+        "--help", "--config", "--snr", "--w", "--threshold", "--channel-mode", "--trials",
+        "--seed", "--out"}
 
 
 def run_under_umask(cfg, umask):

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from itertools import product
 
@@ -677,11 +678,12 @@ def test_array_thresholds_raise_on_the_first_bad_trial(kind, noise_power, energi
 def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     # zero gain has no lift in any trial; at 1e151 only trials with large tap
     # energies overflow, so at this point the first bad trial is not the first
-    # trial; the block's energies, of bit-0 and bit-1 trials alike, in trial order
+    # trial; the block's energies, of bit-0 and bit-1 trials alike, in draw order
     b = sim._block_trials(make_params(), ChannelMode.REDRAW_PER_TRIAL)
     q = params_at_snr(make_params(tag_gain=gain, trials=2 * b), 20.0)
     point = np.random.SeedSequence(43)
-    pairs = [(tag, reflect) for _, tag, reflect, _ in redraw_trials(q, point, 0, b)]
+    pairs = [(tag, reflect) for _, tag, reflect, _
+             in sorted(redraw_trials(q, point, 0, b), key=lambda t: t[0])]
     want = scalar_error(q, kind, pairs)
     assert type(want) is error
     if gain:
@@ -694,24 +696,31 @@ def test_redraw_scale_errors_are_the_scalar_path_errors(kind, gain, error):
     assert type(got.value) is error and str(got.value) == str(want)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, "spawn"])
 @pytest.mark.parametrize("kind", list(ThresholdKind))
-def test_redraw_block_raises_its_first_bad_trial(kind, workers):
-    # the kernel takes a block's thresholds on its bit-0 trials' energies, then its bit-1
-    # trials'. At this point block 0's first bad trial is a bit-1 trial, and a later bad
-    # bit-0 trial has another lift, so the energies in that order raise another message
-    # than the scalar path on the energies in trial order, which the point must raise,
-    # serial and from a pool, where block 1 fails too and pool.map raises in block order
+def test_redraw_block_raises_its_first_bad_trial(kind, workers, monkeypatch):
+    # the kernel takes a block's thresholds on its trials' energies in draw order, its
+    # bit-0 trials' then its bit-1 trials'. At this point block 0's first bad trial in
+    # trial order is a bit-1 trial, and a later bad bit-0 trial has another lift, so the
+    # energies in draw order raise another message than in trial order. The point raises
+    # the draw-order one serially, from a forked pool and from a spawned pool (whose
+    # workers import the package afresh, as a forkserver's do), where block 1 fails too
+    # and pool.map raises in block order
     mode = ChannelMode.REDRAW_PER_TRIAL
     b = sim._block_trials(small_params(), mode)
     q = params_at_snr(small_params(trials=2 * b, noise_power=1e-6, tag_gain=3e152), 20.0)
     point = np.random.SeedSequence(0)
     trials = redraw_trials(q, point, 0, b)
-    want = scalar_error(q, kind, [(tag, reflect) for _, tag, reflect, _ in trials])
     drawn = [(tag, reflect) for _, tag, reflect, _ in sorted(trials, key=lambda t: t[0])]
-    assert type(want) is ValueError and str(scalar_error(q, kind, drawn)) != str(want)
+    want = scalar_error(q, kind, drawn)
+    in_trial_order = scalar_error(q, kind, [(tag, reflect) for _, tag, reflect, _ in trials])
+    assert type(want) is ValueError and str(in_trial_order) != str(want)
     assert next(bit for bit, tag, reflect, _ in trials
                 if scalar_error(q, kind, [(tag, reflect)])) == 1
+    if workers == "spawn":
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        workers = 2
     with pytest.raises(ValueError) as got:
         estimate_ber(q, kind, mode, 20.0, point, workers=workers)
     assert type(got.value) is ValueError and str(got.value) == str(want)
@@ -897,3 +906,13 @@ def test_params_at_snr():
     for snr_db in (-90.0, -3000.0):
         with pytest.raises(InvalidConfig, match="snr_db"):
             params_at_snr(tiny, snr_db)
+
+
+def test_params_at_snr_is_params_itself_at_its_own_power():
+    # estimate_ber takes the cell params a sweep set to the cell's SNR as they are
+    p = params_at_snr(make_params(noise_power=2.0), 10.0)
+    assert p.source_power == 20.0
+    assert params_at_snr(p, 10.0) is p
+    q = params_at_snr(p, 13.0)
+    assert q is not p and p.source_power == 20.0 and q.source_power != 20.0
+    assert q == replace(p, source_power=q.source_power)
