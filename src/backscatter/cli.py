@@ -75,11 +75,11 @@ def _parse_snr_axis(text: str) -> list[float]:
     if step <= 0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     steps = (stop - start) / step    # inf when the ratio overflows
-    count = int(round(steps)) + 1 if steps < MAX_SNR_POINTS else math.inf
-    if count > MAX_SNR_POINTS:
+    count = int(round(steps)) + 1 if steps < MAX_SNR_POINTS else MAX_SNR_POINTS + 1
+    values = [v for v in (start + i * step for i in range(count)) if v <= stop + 1e-9]
+    if len(values) > MAX_SNR_POINTS:
         raise ValueError(f"more than {MAX_SNR_POINTS} points")
-    values = [start + i * step for i in range(count)]
-    return [v for v in values if v <= stop + 1e-9]
+    return values
 
 
 def _parse_w_list(text: str) -> list[int]:

@@ -94,23 +94,29 @@ def qfunc_approx(x: float) -> float:
 def _check_scales(scales: DetectionScales, window: int) -> tuple[float, float]:
     """The (lift, floor) of valid scales for a threshold or BER at ``window``.
 
-    Of an array of lifts, the first invalid one raises what it raises alone.
+    Of an array of lifts, the first invalid one raises what it raises alone; a scalar
+    lift and its floor come back as Python floats.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     lift, floor = scales.signal_lift, scales.noise_floor
     if not 0 < floor < math.inf:
         raise ValueError(f"noise_floor must be finite and > 0, got {floor}")
-    with np.errstate(over="ignore"):
-        r = np.divide(lift, floor)
-        ok = (r > 0) & (r < math.inf) & (np.add(lift, floor) < math.inf)
-    if not ok.all():
-        lift = np.ravel(lift)[ok.argmin()].item()      # the first bad lift
-        if not lift / floor > 0:
-            raise DegenerateScales(f"signal_lift must be > 0 against noise_floor={floor}, "
-                                   f"got {lift}")
-        raise ValueError(f"signal_lift={lift} over noise_floor={floor} overflows")
-    return lift, floor
+    if getattr(lift, "ndim", 0):
+        with np.errstate(over="ignore"):
+            r = lift / floor
+            ok = (r > 0) & (r < math.inf) & (lift + floor < math.inf)
+        if ok.all():
+            return lift, floor
+        lift = lift.ravel()[ok.argmin()].item()     # the first bad lift
+    else:   # as Python floats, which overflow to inf without numpy's scalar dispatch and warnings
+        lift, floor = float(lift), float(floor)
+        if 0 < lift / floor < math.inf and lift + floor < math.inf:
+            return lift, floor
+    if not lift / floor > 0:
+        raise DegenerateScales(f"signal_lift must be > 0 against noise_floor={floor}, "
+                               f"got {lift}")
+    raise ValueError(f"signal_lift={lift} over noise_floor={floor} overflows")
 
 
 def optimal_threshold(scales: DetectionScales, window: int) -> float:
@@ -127,15 +133,18 @@ def optimal_threshold(scales: DetectionScales, window: int) -> float:
     though it leaves the bracket.
     """
     lift, floor = _check_scales(scales, window)
-    # lg / r stays near 1 where 2 / r would overflow; numpy's log1p on the scalar path too,
+    # lg / r stays near 1 where 2 / r would overflow; numpy's log1p on Python floats too,
     # since math's can differ from it in the last bit, so per-trial arrays give the scalar
     # path's thresholds bit for bit
     r = lift / floor
-    lg = np.log1p(r)
-    with np.errstate(over="ignore"):        # a floor near the largest double gives inf
-        t = (floor * ((1.0 + r) / (2.0 + r))
-             * (1.0 + np.sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
-    return t if t.ndim else float(t)
+    if isinstance(r, np.ndarray):
+        lg = np.log1p(r)
+        with np.errstate(over="ignore"):        # a floor near the largest double gives inf
+            return (floor * ((1.0 + r) / (2.0 + r))
+                    * (1.0 + np.sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
+    lg = float(np.log1p(r))
+    return (floor * ((1.0 + r) / (2.0 + r))
+            * (1.0 + math.sqrt(1.0 + 2.0 / window * (lg + 2.0 * (lg / r)))))
 
 
 def optimal_threshold_simplified(scales: DetectionScales, window: int) -> float:

@@ -41,7 +41,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ChannelSet, SystemParams
-from .detector import energy_scales
 
 
 @lru_cache(maxsize=8)
@@ -156,8 +155,9 @@ def _spectra(params: SystemParams, tag: np.ndarray, reflect: np.ndarray
 
 
 def _amp(params: SystemParams) -> float:
-    """``|tag_gain| sqrt(source_power / floor)``."""
-    floor = energy_scales(params, 0.0, 0.0).noise_floor
+    """``|tag_gain| sqrt(source_power / floor)``, the floor of
+    :func:`backscatter.detector.energy_scales`."""
+    floor = 2.0 * params.cancel_len * params.noise_power
     return abs(params.tag_gain) * (math.sqrt(params.source_power) / math.sqrt(floor))
 
 
@@ -175,7 +175,11 @@ def sigma1(params: SystemParams, tag: np.ndarray, reflect: np.ndarray) -> np.nda
     """
     spectra, h_r, c = _spectra(params, np.ascontiguousarray(tag, dtype=complex), reflect)
     e, a = spectra[0::2], spectra[1::2]
-    x = h_r[:, None] * (np.diag(e / 2) + 0.25j * (a - a[:, None]) * c) * h_r.conj()
+    x = 0.25j * (a - a[:, None])
+    x *= c
+    x.reshape(-1)[::len(e) + 1] += e / 2        # the diagonal
+    np.multiply(h_r[:, None], x, out=x)     # this order: complex products need not commute
+    x *= h_r.conj()
     amp = _amp(params)
     with np.errstate(over="ignore", invalid="ignore"):
         return sigma0(params) + amp * (amp * (x + x.conj().T))

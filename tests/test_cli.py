@@ -40,17 +40,21 @@ def test_empty_invocation_yields_reference_defaults(monkeypatch):
     assert cfg.mode is ChannelMode.FIXED_REALIZATION
 
 
-def test_snr_axis_forms():
+def test_snr_axis_forms(capsys):
     assert parse_config(["--snr", "15:25:5"]).snr_values == [15.0, 20.0, 25.0]
     assert parse_config(["--snr", "17.5"]).snr_values == [17.5]
     assert parse_config(["--snr", "-1e1"]).snr_values == [-10.0]     # argparse takes it for a flag
-    # the point limit is inclusive
+    # the point limit is inclusive and counts the points kept: 999.6 rounds up to 1000
+    # steps, but the axis stops at 999
     assert MAX_SNR_POINTS == 1000
     assert len(parse_config(["--snr", "0:999:1"]).snr_values) == 1000
+    kept = parse_config(["--snr", "0:999.6:1"]).snr_values
+    assert len(kept) == 1000 and kept[-1] == 999.0
     for axis in ("25:15:5", "0:1000:1"):
         with pytest.raises(SystemExit) as exc:
             main(["--snr", axis])
         assert exc.value.code == 2
+        assert "snr" in capsys.readouterr().err
 
 
 def test_w_zero_exits_2_naming_w(capsys):

@@ -239,7 +239,7 @@ def test_one_trial_redraw_block(seed, bit, kind):
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("over, windows", list(WINDOW_RANGES.values()), ids=list(WINDOW_RANGES))
-def test_stacked_sigma1_rows_are_the_one_row_calls(over, windows, m):
+def test_stacked_signal_form_and_spectra_are_each_rows_own(over, windows, m):
     # sigma1 takes one tag's lag spectra and signal_form a stack's, from the same helper:
     # each row of the stack's bit-1 form is Re(u^H (Sigma_1 - Sigma_0) u) of its own
     # Sigma_1, and each row of the stack's spectra is the row's one-tag spectra

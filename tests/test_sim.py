@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -25,7 +26,7 @@ from backscatter import (ChannelMode, ChannelSet, DegenerateScales, InvalidConfi
                          estimate_ber, generator, params_at_snr, run_trial, sim,
                          substream, sweep, threshold_for)
 from backscatter.core import complex_normal
-from backscatter.detector import _tap_energy, energy_scales
+from backscatter.detector import DetectionScales, _tap_energy, analytic_ber, energy_scales
 from backscatter.exact import sigma0_eigenvalues, sigma1, signal_form
 from chainkit import (SHORT, WINDOW_RANGES, chain, make_params, probe_bin_gains,
                       reader_spectrum, redraw_trials)
@@ -638,6 +639,33 @@ def test_array_thresholds_equal_the_scalar_path(kind, window):
     assert got == [threshold_for(kind, s, window) / s.noise_floor for s in scales]
     ratios = [s.signal_lift / s.noise_floor for s in scales]
     assert min(ratios) < 1e-11 and max(ratios) > 1e305
+    # Python-float and np.float64 lifts take the float branch and a one-element array the
+    # array path: the same thresholds and analytic BERs as Python floats, with no warning,
+    # at a tiny lift (r < 2/W) and at a floor near the largest double, where the optimal
+    # threshold is inf; and the same error at degenerate and overflowing scales
+    for lift, floor in [(0.1 / window, 1.0), (1e300, 1.75e308)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = threshold_for(kind, DetectionScales(np.array([lift]), floor), window)
+            for form in (float, np.float64):
+                scales = DetectionScales(form(lift), floor)
+                t = threshold_for(kind, scales, window)
+                ber = analytic_ber(t, scales, window)
+                assert type(t) is type(ber) is float and t == want[0]
+                assert ber == analytic_ber(want.item(), DetectionScales(lift, floor), window)
+        assert lift / floor < 2 / window
+        assert math.isinf(t) == (floor > 1 and kind is ThresholdKind.OPTIMAL)
+    for lift, floor, error in [(0.0, 1.0, DegenerateScales), (-1.0, 1.0, DegenerateScales),
+                               (math.nan, 1.0, DegenerateScales),
+                               (5e-324, 1e10, DegenerateScales), (1e300, 1e-10, ValueError),
+                               (1e308, 1e308, ValueError), (math.inf, 1.0, ValueError)]:
+        with pytest.raises(error) as want:
+            threshold_for(kind, DetectionScales(np.array([lift]), floor), window)
+        calls = (partial(threshold_for, kind), partial(analytic_ber, 1.0))
+        for form, call in product((float, np.float64), calls):
+            with pytest.raises(error) as got:
+                call(DetectionScales(form(lift), floor), window)
+            assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def scalar_error(q, kind, energies):
